@@ -152,16 +152,8 @@ impl Clone for HogwildMatrix {
     }
 }
 
-/// `y += a * x` over two equal-length slices (the axpy of Eq. 6's updates).
-#[inline]
-pub fn axpy(a: f32, x: &[f32], y: &mut [f32]) {
-    debug_assert_eq!(x.len(), y.len());
-    for (yi, xi) in y.iter_mut().zip(x) {
-        *yi += a * xi;
-    }
-}
-
-/// Dot product of two equal-length slices.
+/// Dot product of two equal-length slices, summed in k order: the scoring
+/// dot (training uses the kernel's own, see `sgns::pair_update`).
 #[inline]
 pub fn dot(x: &[f32], y: &[f32]) -> f32 {
     debug_assert_eq!(x.len(), y.len());
@@ -226,11 +218,7 @@ mod tests {
 
     #[test]
     fn blas_helpers() {
-        let x = [1.0, 2.0, 3.0];
-        let mut y = [1.0, 1.0, 1.0];
-        axpy(2.0, &x, &mut y);
-        assert_eq!(y, [3.0, 5.0, 7.0]);
-        assert_eq!(dot(&x, &y), 3.0 + 10.0 + 21.0);
+        assert_eq!(dot(&[1.0, 2.0, 3.0], &[3.0, 5.0, 7.0]), 3.0 + 10.0 + 21.0);
     }
 
     #[test]
@@ -246,8 +234,9 @@ mod tests {
                         // SAFETY: single borrow per iteration; cross-thread
                         // races accepted by the Hogwild contract.
                         unsafe {
-                            let r = m.row_mut(row);
-                            axpy(1.0, &[0.001; 16], r);
+                            for x in m.row_mut(row) {
+                                *x += 0.001;
+                            }
                         }
                     }
                 });

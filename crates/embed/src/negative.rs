@@ -25,25 +25,30 @@ impl NegativeTable {
     /// evaluation ranks *all* candidate users, including never-influenced
     /// ones, so they must receive gradient signal).
     pub fn from_counts(counts: &[u64]) -> Self {
-        assert!(!counts.is_empty(), "need at least one node");
-        let weights: Vec<f64> = counts
-            .iter()
-            .map(|&c| (c.max(1) as f64).powf(Self::DISTORTION))
-            .collect();
+        let weights: Vec<f64> = counts.iter().map(|&c| Self::weight(c)).collect();
+        Self::from_weights(&weights)
+    }
+
+    /// The [`from_counts`](Self::from_counts) sampler from weights already
+    /// mapped through [`weight`](Self::weight), for callers that keep them.
+    pub(crate) fn from_weights(weights: &[f64]) -> Self {
+        assert!(!weights.is_empty(), "need at least one node");
         Self {
-            table: AliasTable::new(&weights),
-            n: counts.len() as u32,
+            table: AliasTable::new(weights),
+            n: weights.len() as u32,
         }
+    }
+
+    /// A node's sampling weight, `max(count, 1)^0.75`.
+    #[inline]
+    pub(crate) fn weight(count: u64) -> f64 {
+        (count.max(1) as f64).powf(Self::DISTORTION)
     }
 
     /// Uniform sampler over `n` nodes (used when no counts exist, e.g. the
     /// citation case study's cold start).
     pub fn uniform(n: u32) -> Self {
-        assert!(n > 0, "need at least one node");
-        Self {
-            table: AliasTable::new(&vec![1.0; n as usize]),
-            n,
-        }
+        Self::from_weights(&vec![1.0; n as usize])
     }
 
     /// Number of nodes.

@@ -20,13 +20,16 @@
 //!   context counts, and the episode RNG is derived from
 //!   `(seed, episode_seq)` alone — replaying an episode against the same
 //!   prior state reproduces every sample, gradient, and row init exactly.
+//!   The per-node weights `max(c, 1)^0.75` behind the table are derived
+//!   state, never journaled: rebuilt from the counts on construction and
+//!   refreshed only for the contexts an episode touches.
 
 use inf2vec_util::error::DataError;
 use inf2vec_util::rng::{split_seed, Xoshiro256pp};
 use inf2vec_util::SigmoidTable;
 
-use crate::hogwild::dot;
 use crate::negative::NegativeTable;
+use crate::sgns::pair_update;
 use crate::store::EmbeddingStore;
 
 /// Stream id namespacing the per-episode update RNG.
@@ -113,6 +116,8 @@ pub struct OnlineSgns {
     seed: u64,
     state: OnlineState,
     sigmoid: SigmoidTable,
+    /// `NegativeTable::weight` of each `ctx_counts` entry, kept in step.
+    weights: Vec<f64>,
 }
 
 impl OnlineSgns {
@@ -120,12 +125,7 @@ impl OnlineSgns {
     pub fn new(n: usize, k: usize, cfg: OnlineConfig, seed: u64) -> Self {
         let mut state = OnlineState::fresh(n, k);
         state.store.use_bias = cfg.use_bias;
-        Self {
-            cfg,
-            seed,
-            state,
-            sigmoid: SigmoidTable::default(),
-        }
+        Self::from_state(state, cfg, seed).expect("a fresh state is well-formed")
     }
 
     /// Reconstructs a trainer from journaled state, validating shape
@@ -153,7 +153,9 @@ impl OnlineSgns {
                 line: 0,
             });
         }
+        let weights = state.ctx_counts.iter().map(|&c| NegativeTable::weight(c));
         Ok(Self {
+            weights: weights.collect(),
             cfg,
             seed,
             state,
@@ -199,30 +201,36 @@ impl OnlineSgns {
         // a pure function of the (deterministic) pair stream.
         if let Some(max_id) = pairs.iter().map(|&(u, v)| u.max(v)).max() {
             self.state.grow(max_id as usize + 1);
+            self.weights
+                .resize(self.state.store.len(), NegativeTable::weight(0));
         }
         // The sampler is a pure function of the pre-episode context
         // counts, so recovery rebuilds exactly this table from the
         // journal. O(n) per episode; the online n is the population the
-        // pipeline serves, not a web-scale vocabulary.
-        let negatives = if self.state.ctx_counts.iter().all(|&c| c == 0) {
-            NegativeTable::uniform(self.state.store.len() as u32)
-        } else {
-            NegativeTable::from_counts(&self.state.ctx_counts)
-        };
+        // pipeline serves, not a web-scale vocabulary. With no counts yet
+        // every weight is 1: the uniform table.
+        let negatives = NegativeTable::from_weights(&self.weights);
         let mut rng = Xoshiro256pp::new(split_seed(
             split_seed(self.seed, ONLINE_STREAM),
             episode_seq,
         ));
-        let k = self.state.store.k();
-        let mut grad = vec![0.0f32; k];
+        let mut grad = vec![0.0f32; self.state.store.k()];
+        let mut negs = vec![0u32; self.cfg.negatives];
         let mut loss = 0.0f64;
         for &(u, v) in pairs {
             let lr = self.adaptive_lr(u);
             self.ensure_row(u);
             self.ensure_row(v);
-            loss += self.update_pair(u, v, &negatives, lr, &mut rng, &mut grad);
+            // Negative rows are lazily initialized as they are drawn.
+            for w in negs.iter_mut() {
+                *w = negatives.sample_excluding(u, v, &mut rng);
+                self.ensure_row(*w);
+            }
+            loss += pair_update(&self.state.store, &self.sigmoid, u, v, &negs, lr, &mut grad);
             self.state.update_counts[u as usize] += 1;
-            self.state.ctx_counts[v as usize] += 1;
+            let c = &mut self.state.ctx_counts[v as usize];
+            *c += 1;
+            self.weights[v as usize] = NegativeTable::weight(*c);
         }
         self.state.episodes_applied += 1;
         self.state.pairs_applied += pairs.len() as u64;
@@ -244,103 +252,6 @@ impl OnlineSgns {
             self.state.store.init_row(u, self.seed);
             *slot = true;
         }
-    }
-
-    /// One SGNS pair update (the paper's Eq. 6 gradients, as in the batch
-    /// trainer) at the given learning rate. Negative rows are lazily
-    /// initialized as they are drawn.
-    fn update_pair(
-        &mut self,
-        u: u32,
-        v: u32,
-        negatives: &NegativeTable,
-        lr: f32,
-        rng: &mut Xoshiro256pp,
-        grad: &mut [f32],
-    ) -> f64 {
-        // Draw all negatives first so lazy row init (borrowing the state
-        // mutably) stays out of the unsafe row-borrow region below.
-        let mut negs = Vec::with_capacity(self.cfg.negatives);
-        for _ in 0..self.cfg.negatives {
-            let w = negatives.sample_excluding(u, v, rng);
-            self.ensure_row(w);
-            negs.push(w);
-        }
-
-        let store = &self.state.store;
-        let use_bias = store.use_bias;
-        grad.fill(0.0);
-        let mut bias_grad = 0.0f32;
-        let mut loss = 0.0f64;
-
-        // SAFETY (all row_mut calls below): source/target/bias matrices
-        // are distinct allocations and at most one row of each is borrowed
-        // at a time; the trainer is single-threaded over the store.
-        unsafe {
-            let su: &mut [f32] = store.source.row_mut(u as usize);
-            let b_u = if use_bias {
-                store.bias_src.row(u as usize)[0]
-            } else {
-                0.0
-            };
-
-            // Positive example v.
-            {
-                let tv: &mut [f32] = store.target.row_mut(v as usize);
-                let b_v = if use_bias {
-                    store.bias_tgt.row(v as usize)[0]
-                } else {
-                    0.0
-                };
-                let z = dot(su, tv) + b_u + b_v;
-                let sig = self.sigmoid.get(z);
-                let g = 1.0 - sig;
-                for (gi, ti) in grad.iter_mut().zip(tv.iter()) {
-                    *gi += g * ti;
-                }
-                for (ti, si) in tv.iter_mut().zip(su.iter()) {
-                    *ti += lr * g * si;
-                }
-                if use_bias {
-                    store.bias_tgt.row_mut(v as usize)[0] += lr * g;
-                }
-                bias_grad += g;
-                loss -= (sig.max(1e-7) as f64).ln();
-            }
-
-            // Negative examples.
-            for &w in &negs {
-                let tw: &mut [f32] = store.target.row_mut(w as usize);
-                let b_w = if use_bias {
-                    store.bias_tgt.row(w as usize)[0]
-                } else {
-                    0.0
-                };
-                let z = dot(su, tw) + b_u + b_w;
-                let sig = self.sigmoid.get(z);
-                let g = -sig;
-                for (gi, ti) in grad.iter_mut().zip(tw.iter()) {
-                    *gi += g * ti;
-                }
-                for (ti, si) in tw.iter_mut().zip(su.iter()) {
-                    *ti += lr * g * si;
-                }
-                if use_bias {
-                    store.bias_tgt.row_mut(w as usize)[0] += lr * g;
-                }
-                bias_grad += g;
-                loss -= ((1.0 - sig).max(1e-7) as f64).ln();
-            }
-
-            // Apply the accumulated center gradient.
-            for (si, gi) in su.iter_mut().zip(grad.iter()) {
-                *si += lr * gi;
-            }
-            if use_bias {
-                store.bias_src.row_mut(u as usize)[0] += lr * bias_grad;
-            }
-        }
-        loss
     }
 }
 
@@ -449,6 +360,35 @@ mod tests {
         let mut bad = t.state().clone();
         bad.ctx_counts.pop();
         assert!(OnlineSgns::from_state(bad, OnlineConfig::default(), 3).is_err());
+    }
+
+    proptest::proptest! {
+        /// Cached weights draw like the sampler of the counts (uniform before
+        /// any count), through increments, growth and `from_state`.
+        #[test]
+        fn cached_weights_draw_like_the_counts(
+            episodes in proptest::prop::collection::vec(
+                proptest::prop::collection::vec((0u32..40, 0u32..40), 0..12), 1..8),
+            seed in 0u64..1000,
+        ) {
+            let mut t = OnlineSgns::new(4, 3, OnlineConfig::default(), seed);
+            for (e, pairs) in episodes.iter().enumerate() {
+                t.apply_episode(e as u64, pairs);
+                let c = &t.state().ctx_counts;
+                let expected = if c.iter().all(|&c| c == 0) {
+                    NegativeTable::uniform(c.len() as u32)
+                } else {
+                    NegativeTable::from_counts(c)
+                };
+                let cached = NegativeTable::from_weights(&t.weights);
+                let (mut ra, mut rb) = (Xoshiro256pp::new(seed), Xoshiro256pp::new(seed));
+                for _ in 0..64 {
+                    assert_eq!(cached.sample(&mut ra), expected.sample(&mut rb));
+                }
+            }
+            let restored = OnlineSgns::from_state(t.state().clone(), OnlineConfig::default(), seed);
+            assert!(restored.unwrap().weights == t.weights);
+        }
     }
 
     #[test]

@@ -39,7 +39,6 @@ use inf2vec_util::rng::{split_seed, Xoshiro256pp};
 use inf2vec_util::SigmoidTable;
 use rand::RngCore as _;
 
-use crate::hogwild::dot;
 use crate::negative::NegativeTable;
 use crate::store::EmbeddingStore;
 
@@ -637,8 +636,8 @@ impl SgnsTrainer {
         total_pairs: u64,
     ) -> (u64, f64) {
         let cfg = &self.config;
-        let k = store.k();
-        let mut grad = vec![0.0f32; k];
+        let mut grad = vec![0.0f32; store.k()];
+        let mut negs = vec![0u32; cfg.negatives];
         let mut pairs = 0u64;
         let mut loss = 0.0f64;
         let mut local_done = 0u64;
@@ -657,7 +656,10 @@ impl SgnsTrainer {
                 let frac = done as f64 / total_pairs as f64;
                 (cfg.lr * (1.0 - frac as f32)).max(cfg.lr_min)
             } * lr_scale;
-            loss += self.update_pair(store, u, v, negatives, lr, &mut rng_neg, &mut grad);
+            for w in negs.iter_mut() {
+                *w = negatives.sample_excluding(u, v, &mut rng_neg);
+            }
+            loss += pair_update(store, &self.sigmoid, u, v, &negs, lr, &mut grad);
             pairs += 1;
             local_done += 1;
             // Publish progress in batches to keep the atomic cold.
@@ -669,100 +671,80 @@ impl SgnsTrainer {
         progress.fetch_add(local_done, Ordering::Relaxed);
         (pairs, loss)
     }
+}
 
-    #[allow(clippy::too_many_arguments)]
-    /// One SGD step on pair `(u, v)` plus `cfg.negatives` sampled negatives;
-    /// returns the pair's negative log-likelihood (Eq. 4).
-    ///
-    /// Implements exactly Eq. 6:
-    /// `∂/∂S_u = (1-σ(z_v))·T_v + Σ_w (-σ(z_w))·T_w`, etc.
-    #[inline]
-    fn update_pair(
-        &self,
-        store: &EmbeddingStore,
-        u: u32,
-        v: u32,
-        negatives: &NegativeTable,
-        lr: f32,
-        rng: &mut Xoshiro256pp,
-        grad: &mut [f32],
-    ) -> f64 {
-        let use_bias = store.use_bias;
-        grad.fill(0.0);
-        let mut bias_grad = 0.0f32;
-        let mut loss = 0.0f64;
-
-        // SAFETY (all row_mut calls below): source/target/bias matrices are
-        // distinct allocations, and within each matrix we hold at most one
-        // row borrow at a time on this thread. Cross-thread races fall under
-        // the Hogwild contract documented in `hogwild`.
-        unsafe {
-            let su: &mut [f32] = store.source.row_mut(u as usize);
-            let b_u = if use_bias {
-                store.bias_src.row(u as usize)[0]
-            } else {
-                0.0
-            };
-
-            // Positive example v.
-            {
-                let tv: &mut [f32] = store.target.row_mut(v as usize);
-                let b_v = if use_bias {
-                    store.bias_tgt.row(v as usize)[0]
-                } else {
-                    0.0
-                };
-                let z = dot(su, tv) + b_u + b_v;
-                let sig = self.sigmoid.get(z);
-                let g = 1.0 - sig; // ∂logσ(z)/∂z
-                for (gi, ti) in grad.iter_mut().zip(tv.iter()) {
-                    *gi += g * ti;
-                }
-                for (ti, si) in tv.iter_mut().zip(su.iter()) {
-                    *ti += lr * g * si;
-                }
-                if use_bias {
-                    store.bias_tgt.row_mut(v as usize)[0] += lr * g;
-                }
-                bias_grad += g;
-                loss -= (sig.max(1e-7) as f64).ln();
+/// One SGD step of Eq. 6 (`∂/∂S_u = (1-σ(z_v))·T_v + Σ_w (-σ(z_w))·T_w`,
+/// etc.) on pair `(u, v)` against the drawn negatives `negs`, for both the
+/// batch and the online trainer; returns the pair's negative log-likelihood
+/// (Eq. 4). `grad` is scratch of length `k`. Each target row is read once:
+/// its share of the center gradient and its own update happen in one pass,
+/// with the same f32 operations as accumulating first and updating after.
+#[inline]
+pub(crate) fn pair_update(
+    store: &EmbeddingStore,
+    sigmoid: &SigmoidTable,
+    u: u32,
+    v: u32,
+    negs: &[u32],
+    lr: f32,
+    grad: &mut [f32],
+) -> f64 {
+    grad.fill(0.0);
+    let (mut bias_grad, mut loss) = (0.0f32, 0.0f64);
+    // SAFETY (all row_mut calls below): source/target/bias matrices are
+    // distinct allocations, and within each matrix we hold at most one row
+    // borrow at a time on this thread. Cross-thread races fall under the
+    // Hogwild contract documented in `hogwild`.
+    unsafe {
+        let su: &mut [f32] = store.source.row_mut(u as usize);
+        let b_u = store.b(u);
+        // The positive example v, then the negatives.
+        for (i, &w) in std::iter::once(&v).chain(negs).enumerate() {
+            let tw: &mut [f32] = store.target.row_mut(w as usize);
+            let (sig, ln_pos, ln_neg) = sigmoid.get_ln(train_dot(su, tw) + b_u + store.b_tilde(w));
+            // ∂logσ(z)/∂z for v, ∂logσ(-z)/∂z for a negative.
+            let g = if i == 0 { 1.0 - sig } else { -sig };
+            let ln = if i == 0 { ln_pos } else { ln_neg };
+            let step = lr * g;
+            for ((gi, ti), si) in grad.iter_mut().zip(tw.iter_mut()).zip(su.iter()) {
+                let t = *ti;
+                *gi += g * t;
+                *ti = t + step * si;
             }
-
-            // Negative examples.
-            for _ in 0..self.config.negatives {
-                let w = negatives.sample_excluding(u, v, rng);
-                let tw: &mut [f32] = store.target.row_mut(w as usize);
-                let b_w = if use_bias {
-                    store.bias_tgt.row(w as usize)[0]
-                } else {
-                    0.0
-                };
-                let z = dot(su, tw) + b_u + b_w;
-                let sig = self.sigmoid.get(z);
-                let g = -sig; // ∂logσ(-z)/∂z
-                for (gi, ti) in grad.iter_mut().zip(tw.iter()) {
-                    *gi += g * ti;
-                }
-                for (ti, si) in tw.iter_mut().zip(su.iter()) {
-                    *ti += lr * g * si;
-                }
-                if use_bias {
-                    store.bias_tgt.row_mut(w as usize)[0] += lr * g;
-                }
-                bias_grad += g;
-                loss -= ((1.0 - sig).max(1e-7) as f64).ln();
+            if store.use_bias {
+                store.bias_tgt.row_mut(w as usize)[0] += step;
             }
-
-            // Apply the accumulated center-word gradient.
-            for (si, gi) in su.iter_mut().zip(grad.iter()) {
-                *si += lr * gi;
-            }
-            if use_bias {
-                store.bias_src.row_mut(u as usize)[0] += lr * bias_grad;
-            }
+            bias_grad += g;
+            loss -= ln;
         }
-        loss
+
+        // Apply the accumulated center-word gradient.
+        for (si, gi) in su.iter_mut().zip(grad.iter()) {
+            *si += lr * gi;
+        }
+        if store.use_bias {
+            store.bias_src.row_mut(u as usize)[0] += lr * bias_grad;
+        }
     }
+    loss
+}
+
+/// The training dot: eight independent partial sums, so the additions
+/// pipeline, reduced in a fixed order. Deterministic, but not bit-equal to
+/// the k-order sum of [`crate::hogwild::dot`], which scoring keeps: serving
+/// paths must agree bit for bit with each other, not with training.
+#[inline]
+fn train_dot(x: &[f32], y: &[f32]) -> f32 {
+    debug_assert_eq!(x.len(), y.len());
+    let mut acc = [0.0f32; 8];
+    for (a, b) in x.chunks_exact(8).zip(y.chunks_exact(8)) {
+        for ((s, a), b) in acc.iter_mut().zip(a).zip(b) {
+            *s += a * b;
+        }
+    }
+    let body = x.len() / 8 * 8;
+    let tail = crate::hogwild::dot(&x[body..], &y[body..]);
+    ((acc[0] + acc[4]) + (acc[1] + acc[5])) + ((acc[2] + acc[6]) + (acc[3] + acc[7])) + tail
 }
 
 #[cfg(test)]
@@ -1152,6 +1134,84 @@ mod tests {
             store.source.to_vec()
         };
         assert_eq!(run(Telemetry::disabled()), run(Telemetry::with_registry()));
+    }
+
+    /// The two-pass Eq. 6 step `pair_update` replaced: accumulate the center
+    /// gradient over a target row, then update the row; logs taken from σ.
+    /// Only the training dot is shared.
+    fn two_pass(s: &EmbeddingStore, t: &SigmoidTable, u: u32, v: u32, ns: &[u32], lr: f32) -> f64 {
+        let mut grad = vec![0.0f32; s.k()];
+        let (mut bias_grad, mut loss) = (0.0f32, 0.0f64);
+        // SAFETY: single-threaded; one row borrow per matrix at a time.
+        unsafe {
+            let su = s.source.row_mut(u as usize);
+            for (i, &w) in std::iter::once(&v).chain(ns).enumerate() {
+                let tw = s.target.row_mut(w as usize);
+                let sig = t.get(train_dot(su, tw) + s.b(u) + s.b_tilde(w));
+                let g = if i == 0 { 1.0 - sig } else { -sig };
+                let p = if i == 0 { sig } else { 1.0 - sig };
+                for (gi, ti) in grad.iter_mut().zip(tw.iter()) {
+                    *gi += g * ti;
+                }
+                for (ti, si) in tw.iter_mut().zip(su.iter()) {
+                    *ti += lr * g * si;
+                }
+                if s.use_bias {
+                    s.bias_tgt.row_mut(w as usize)[0] += lr * g;
+                }
+                bias_grad += g;
+                loss -= (p.max(1e-7) as f64).ln();
+            }
+            for (si, gi) in su.iter_mut().zip(grad.iter()) {
+                *si += lr * gi;
+            }
+            if s.use_bias {
+                s.bias_src.row_mut(u as usize)[0] += lr * bias_grad;
+            }
+        }
+        loss
+    }
+
+    #[test]
+    fn pair_update_matches_the_two_pass_kernel_bit_for_bit() {
+        let bits = |s: &EmbeddingStore| -> Vec<u32> {
+            let all = [&s.source, &s.target, &s.bias_src, &s.bias_tgt].map(|m| m.to_vec());
+            all.concat().iter().map(|x| x.to_bits()).collect()
+        };
+        let sigmoid = SigmoidTable::default();
+        for case in 0..10 {
+            let (k, use_bias) = ([1, 5, 8, 13, 50][case / 2], case % 2 == 1);
+            let mut fused = EmbeddingStore::new(9, k, k as u64);
+            fused.use_bias = use_bias;
+            let reference = fused.clone();
+            let (mut rng, mut grad) = (Xoshiro256pp::new(k as u64), vec![0.0; k]);
+            for _ in 0..500 {
+                let (u, v) = (rng.below(9) as u32, rng.below(9) as u32);
+                // Five draws from four ids: duplicates every time, and
+                // sometimes u or v among them.
+                let negs: Vec<u32> = (0..5).map(|_| rng.below(4) as u32).collect();
+                let la = pair_update(&fused, &sigmoid, u, v, &negs, 0.3, &mut grad);
+                let lb = two_pass(&reference, &sigmoid, u, v, &negs, 0.3);
+                assert_eq!(la.to_bits(), lb.to_bits(), "loss, k={k}");
+            }
+            assert!(!fused.has_non_finite());
+            assert_eq!(bits(&fused), bits(&reference), "parameters, k={k}");
+        }
+    }
+
+    #[test]
+    fn train_dot_agrees_with_an_f64_reference() {
+        let mut rng = Xoshiro256pp::new(5);
+        for n in 0..=67usize {
+            let x: Vec<f32> = (0..2 * n).map(|_| rng.next_f32() * 2.0 - 1.0).collect();
+            let (x, y) = x.split_at(n);
+            let products = || x.iter().zip(y).map(|(a, b)| *a as f64 * *b as f64);
+            let exact: f64 = products().sum();
+            let scale: f64 = products().map(f64::abs).sum();
+            // A dropped or repeated term would be off by ~scale / n.
+            let err = (train_dot(x, y) as f64 - exact).abs();
+            assert!(err <= 1e-6 * scale, "n={n}: error {err} against {scale}");
+        }
     }
 
     #[test]

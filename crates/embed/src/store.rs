@@ -117,11 +117,6 @@ impl EmbeddingStore {
     /// Embedding dimension K.
     #[inline]
     pub fn k(&self) -> usize {
-        self.k_internal()
-    }
-
-    #[inline]
-    fn k_internal(&self) -> usize {
         self.source.cols()
     }
 
@@ -348,15 +343,17 @@ impl EmbeddingStore {
         let n = field("n")?;
         let k = field("k")?;
         let use_bias = field("bias flag")?;
-        if n == 0 || k == 0 {
+        if n == 0 || k == 0 || n.checked_mul(k).is_none() {
             return Err(DataError::Invalid {
-                message: format!("empty store (n={n}, k={k})"),
+                message: format!("store shape n={n}, k={k} is empty or overflows"),
             }
             .into());
         }
 
-        let mut store = Self::new(n, k, 0);
-        store.use_bias = use_bias != 0;
+        // Storage grows as rows arrive: the header's n×k is a claim the
+        // body has to back, not an allocation size.
+        let (mut source, mut target) = (Vec::new(), Vec::new());
+        let (mut bias_src, mut bias_tgt) = (Vec::new(), Vec::new());
         let mut line = String::new();
         for u in 0..n {
             let lineno = u + 2; // 1-based; line 1 is the header.
@@ -382,21 +379,23 @@ impl EmbeddingStore {
                 }
                 Ok(x)
             };
-            // SAFETY: exclusive &mut self here; no concurrent access.
-            unsafe {
-                for slot in store.source.row_mut(u) {
-                    *slot = next_finite()?;
+            for row in [&mut source, &mut target] {
+                for _ in 0..k {
+                    row.push(next_finite()?);
                 }
-                for slot in store.target.row_mut(u) {
-                    *slot = next_finite()?;
-                }
-                store.bias_src.row_mut(u)[0] = next_finite()?;
-                store.bias_tgt.row_mut(u)[0] = next_finite()?;
             }
+            bias_src.push(next_finite()?);
+            bias_tgt.push(next_finite()?);
             if vals.next().is_some() {
                 return Err(malformed(lineno, &line));
             }
         }
+        let mut store = Self::zeroed(n, k);
+        store.use_bias = use_bias != 0;
+        store.source.copy_from(&source);
+        store.target.copy_from(&target);
+        store.bias_src.copy_from(&bias_src);
+        store.bias_tgt.copy_from(&bias_tgt);
         Ok(store)
     }
 

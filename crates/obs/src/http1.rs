@@ -433,7 +433,7 @@ mod tests {
             ..Http1Config::default()
         };
         let mut conn = Connection::new(server, cfg.clone()).unwrap();
-        client.write_all(&vec![b'A'; 200]).unwrap();
+        client.write_all(&[b'A'; 200]).unwrap();
         assert!(matches!(conn.read_request(), Err(ReadError::HeadTooLarge(64))));
 
         let (mut client, server) = pair();

@@ -305,11 +305,17 @@ fn parse_slot_inner(bytes: &[u8]) -> Option<SlotParse> {
         line_no: pos[1],
     };
     let c = fields(lines.next()?, "counters", 5)?;
+    // Every open item and user takes a line of its own, so a declared
+    // count beyond the lines left is corruption, not an allocation size.
+    let lines_left = lines.clone().count();
     let n_open: usize = field(lines.next()?, "open")?.parse().ok()?;
+    if n_open > lines_left {
+        return None;
+    }
     let mut open = Vec::with_capacity(n_open);
     for _ in 0..n_open {
         let head = fields(lines.next()?, "item", 4)?;
-        let n_users = head[3] as usize;
+        let n_users = usize::try_from(head[3]).ok().filter(|&n| n <= lines_left)?;
         let mut users = Vec::with_capacity(n_users);
         for _ in 0..n_users {
             let mut it = lines.next()?.split_ascii_whitespace();
@@ -485,6 +491,30 @@ mod tests {
         bytes[mid] ^= 0x01;
         fs::write(&path, bytes).unwrap();
         assert!(j.load_latest().unwrap().is_none(), "corrupt slot discarded");
+    }
+
+    #[test]
+    fn oversized_counts_are_corrupt_and_fall_back_to_the_other_slot() {
+        for (from, to) in [
+            ("open 1\n", "open 18446744073709551615\n"),
+            ("item 42 11 5 2\n", "item 42 11 5 18446744073709551615\n"),
+        ] {
+            let tmp = tmp_dir("journal-oversized");
+            let j = Journal::new(&tmp).unwrap();
+            j.write(&sample(4)).unwrap();
+            let path = j.write(&sample(5)).unwrap();
+            // Intact bytes that lie about a count: re-checksummed, so only
+            // the structure check can reject them.
+            let text = String::from_utf8(fs::read(&path).unwrap()).unwrap();
+            let body_end = text.trim_end_matches('\n').rfind('\n').unwrap() + 1;
+            let body = text[..body_end].replacen(from, to, 1);
+            assert_ne!(body, text[..body_end], "{from:?} is in the slot");
+            let rewritten = format!("{body}checksum {:016x}\n", fnv1a(body.as_bytes()));
+            fs::write(&path, rewritten).unwrap();
+            let loaded = j.load_latest().unwrap().expect("the older slot survives");
+            assert_eq!(loaded.round, 4, "{to:?}");
+            let _ = fs::remove_dir_all(&tmp);
+        }
     }
 
     #[test]

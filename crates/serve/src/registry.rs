@@ -479,12 +479,17 @@ mod tests {
         reg.install_checked(store(8, 4, 1), "base-n8", None).unwrap();
 
         let stop = Arc::new(AtomicBool::new(false));
+        // Each reader reports the version of a finished round whenever it
+        // changes, so the writer can wait for every reader to have served
+        // each install before replacing it.
+        let (done_tx, done_rx) = std::sync::mpsc::channel::<(usize, u64)>();
         let readers: Vec<_> = (0..4)
-            .map(|_| {
+            .map(|id| {
                 let reg = Arc::clone(&reg);
                 let stop = Arc::clone(&stop);
+                let done = done_tx.clone();
                 std::thread::spawn(move || {
-                    let mut rounds = 0u64;
+                    let (mut rounds, mut reported) = (0u64, 0u64);
                     while !stop.load(Ordering::Relaxed) {
                         // A pinned version is immutable for the whole
                         // request: same pair, same answer, no tear, even
@@ -512,19 +517,37 @@ mod tests {
                         );
                         assert!(fb.score(0, 1).is_finite());
                         rounds += 1;
+                        if cur.version() != reported {
+                            reported = cur.version();
+                            let _ = done.send((id, reported));
+                        }
                     }
                     rounds
                 })
             })
             .collect();
+        // Blocks until every reader has finished a round on `version`. A
+        // reader that dies drops its sender; the timeout turns that into a
+        // failure instead of a hang.
+        let await_readers = |version: u64| {
+            let mut seen = [0u64; 4];
+            while seen.iter().any(|&v| v < version) {
+                let (id, v) = done_rx
+                    .recv_timeout(std::time::Duration::from_secs(60))
+                    .expect("every reader finishes a round on each install");
+                seen[id] = seen[id].max(v);
+            }
+        };
 
-        // Writer: a sequence of strictly growing row spaces.
+        // Writer: a sequence of strictly growing row spaces, each installed
+        // only after every reader has served the one before.
+        await_readers(reg.current_version());
         let mut pinned_early = reg.current().unwrap();
         for (i, n) in [10usize, 12, 14, 16].into_iter().enumerate() {
             let s = store(n, 4, 10 + i as u64);
             let sum = store_checksum(&s);
             reg.install_checked(s, &format!("grown-n{n}"), Some(sum)).unwrap();
-            std::thread::sleep(std::time::Duration::from_millis(2));
+            await_readers(reg.current_version());
             pinned_early = reg.current().unwrap();
         }
         stop.store(true, Ordering::Relaxed);

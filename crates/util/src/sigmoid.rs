@@ -14,7 +14,9 @@ pub fn sigmoid(x: f32) -> f32 {
 /// A lookup table for the logistic sigmoid on `[-max_x, max_x]`.
 #[derive(Debug, Clone)]
 pub struct SigmoidTable {
-    table: Vec<f32>,
+    /// `(σ, ln max(σ, 1e-7), ln max(1 − σ, 1e-7))` per entry: the low
+    /// clamp, the `bins` grid samples, then the high clamp.
+    table: Vec<(f32, f64, f64)>,
     max_x: f32,
     scale: f32,
 }
@@ -33,10 +35,16 @@ impl SigmoidTable {
     pub fn new(max_x: f32, bins: usize) -> Self {
         assert!(bins >= 2, "need at least two bins");
         assert!(max_x > 0.0, "max_x must be positive");
-        let table: Vec<f32> = (0..bins)
-            .map(|i| {
-                let x = -max_x + 2.0 * max_x * (i as f32 + 0.5) / bins as f32;
-                sigmoid(x)
+        let grid = (0..bins).map(|i| {
+            let x = -max_x + 2.0 * max_x * (i as f32 + 0.5) / bins as f32;
+            sigmoid(x)
+        });
+        let table = std::iter::once(0.0)
+            .chain(grid)
+            .chain(std::iter::once(1.0))
+            .map(|s: f32| {
+                let ln_pos = (s.max(1e-7) as f64).ln();
+                (s, ln_pos, ((1.0 - s).max(1e-7) as f64).ln())
             })
             .collect();
         Self {
@@ -52,15 +60,30 @@ impl SigmoidTable {
     /// which is well inside SGD noise.
     #[inline]
     pub fn get(&self, x: f32) -> f32 {
+        self.table[self.index(x)].0
+    }
+
+    /// `σ(x)` with the two SGNS log-likelihood terms of the same entry:
+    /// `(σ, ln max(σ, 1e-7), ln max(1 − σ, 1e-7))`. The logs are tabulated,
+    /// so they equal computing them from the returned `σ`, bit for bit.
+    #[inline]
+    pub fn get_ln(&self, x: f32) -> (f32, f64, f64) {
+        self.table[self.index(x)]
+    }
+
+    /// Table entry for `x`: 0 below the range, `bins + 1` above it.
+    #[inline]
+    fn index(&self, x: f32) -> usize {
+        let last = self.table.len() - 1;
         if x <= -self.max_x {
-            return 0.0;
+            return 0;
         }
         if x >= self.max_x {
-            return 1.0;
+            return last;
         }
         let idx = ((x + self.max_x) * self.scale) as usize;
         // Guard the upper boundary against float rounding.
-        self.table[idx.min(self.table.len() - 1)]
+        1 + idx.min(last - 2)
     }
 }
 
@@ -101,6 +124,37 @@ mod tests {
         assert_eq!(t.get(-100.0), 0.0);
         assert_eq!(t.get(f32::INFINITY), 1.0);
         assert_eq!(t.get(f32::NEG_INFINITY), 0.0);
+    }
+
+    #[test]
+    fn get_ln_matches_logs_of_sigma_in_every_entry() {
+        let t = SigmoidTable::default();
+        let bins = SigmoidTable::DEFAULT_BINS;
+        let max_x = SigmoidTable::DEFAULT_MAX_X;
+        let centers = (0..bins).map(|i| -max_x + 2.0 * max_x * (i as f32 + 0.5) / bins as f32);
+        let xs: Vec<f32> = [-max_x, f32::NEG_INFINITY, max_x, f32::INFINITY]
+            .into_iter()
+            .chain(centers)
+            .collect();
+        let mut seen = vec![false; bins + 2];
+        for x in xs {
+            seen[t.index(x)] = true;
+            let (s, ln_pos, ln_neg) = t.get_ln(x);
+            assert_eq!(s.to_bits(), t.get(x).to_bits(), "x = {x}");
+            assert_eq!(
+                ln_pos.to_bits(),
+                (s.max(1e-7) as f64).ln().to_bits(),
+                "x = {x}"
+            );
+            assert_eq!(
+                ln_neg.to_bits(),
+                ((1.0 - s).max(1e-7) as f64).ln().to_bits(),
+                "x = {x}"
+            );
+        }
+        assert!(seen.iter().all(|&s| s), "every bin and both clamps swept");
+        assert_eq!(t.get_ln(-max_x).0, 0.0);
+        assert_eq!(t.get_ln(max_x).0, 1.0);
     }
 
     #[test]

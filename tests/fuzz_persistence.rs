@@ -12,6 +12,7 @@ use inf2vec::diffusion::dataset::read_log;
 use inf2vec::diffusion::synth::{generate, SyntheticConfig};
 use inf2vec::embed::{Checkpoint, EmbeddingStore};
 use inf2vec::graph::io::{read_edge_list, write_edge_list};
+use inf2vec::util::error::{DataError, Inf2vecError};
 use inf2vec::util::faultinject::{CorruptingWriter, TruncatingWriter};
 use proptest::prelude::*;
 
@@ -165,5 +166,26 @@ fn loaders_reject_textual_nan_and_inf() {
             EmbeddingStore::load(bad.as_bytes()).is_err(),
             "loader accepted {poison}"
         );
+    }
+}
+
+/// A store header is a claim the body has to back: a header declaring
+/// 4e12 rows (or an `n·k` that overflows) fails typed instead of sizing an
+/// allocation that aborts the process.
+#[test]
+fn header_sized_claims_fail_typed_without_allocating_them() {
+    match EmbeddingStore::load_data("4000000000000 50 1\n1 2\n".as_bytes()) {
+        Err(Inf2vecError::Data(DataError::Malformed { line: 2, .. })) => {}
+        other => panic!("expected Malformed at line 2, got {other:?}"),
+    }
+    let one_row = format!("4000000000000 50 1\n{}0\n", "0 ".repeat(101));
+    match EmbeddingStore::load_data(one_row.as_bytes()) {
+        Err(Inf2vecError::Data(DataError::Truncated { .. })) => {}
+        other => panic!("expected Truncated, got {other:?}"),
+    }
+    let overflow = format!("{} 2 1\n", usize::MAX);
+    match EmbeddingStore::load_data(overflow.as_bytes()) {
+        Err(Inf2vecError::Data(DataError::Invalid { .. })) => {}
+        other => panic!("expected Invalid, got {other:?}"),
     }
 }
