@@ -111,10 +111,22 @@ impl HogwildMatrix {
         std::slice::from_raw_parts_mut(base, self.cols)
     }
 
+    /// Immutable view of the whole matrix, row-major.
+    ///
+    /// Same read contract as [`row`](Self::row): under concurrent training
+    /// this may observe in-flight updates.
+    #[inline]
+    pub fn as_slice(&self) -> &[f32] {
+        // SAFETY: the allocation never moves or resizes while `&self` is
+        // borrowed (`grow_rows` and `copy_from` take `&mut self`);
+        // read-only access to possibly-racing f32 data is the documented
+        // trade-off.
+        unsafe { &*self.data.get() }
+    }
+
     /// Copies the whole matrix out (for snapshots/serialization).
     pub fn to_vec(&self) -> Vec<f32> {
-        // SAFETY: plain read of the payload.
-        unsafe { (*self.data.get()).to_vec() }
+        self.as_slice().to_vec()
     }
 
     /// Overwrites the whole matrix from a flat slice.

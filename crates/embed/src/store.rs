@@ -247,11 +247,16 @@ impl EmbeddingStore {
             .expect("restore: snapshot must match the store's shape and be finite");
     }
 
-    /// True when any parameter is NaN or infinite.
+    /// True when any parameter is NaN or infinite. Scans the matrices in
+    /// place, without an early exit inside one, so the scan vectorizes.
     pub fn has_non_finite(&self) -> bool {
         [&self.source, &self.target, &self.bias_src, &self.bias_tgt]
             .iter()
-            .any(|m| m.to_vec().iter().any(|x| !x.is_finite()))
+            .any(|m| {
+                m.as_slice()
+                    .iter()
+                    .fold(false, |bad, x| bad | !x.is_finite())
+            })
     }
 
     /// Writes the store as text: a header line `n k use_bias`, then one
@@ -512,6 +517,23 @@ mod tests {
         let err = s.save(&mut buf).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
         assert!(buf.is_empty() || std::str::from_utf8(&buf).is_ok());
+    }
+
+    #[test]
+    fn has_non_finite_scans_to_the_last_element_of_every_matrix() {
+        assert!(!EmbeddingStore::new(3, 5, 1).has_non_finite());
+        for which in 0..4 {
+            for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+                let s = EmbeddingStore::new(3, 5, 1);
+                let m = [&s.source, &s.target, &s.bias_src, &s.bias_tgt][which];
+                // SAFETY: single-threaded test, one row borrow at a time.
+                unsafe {
+                    let last = m.row_mut(m.rows() - 1);
+                    last[last.len() - 1] = bad;
+                }
+                assert!(s.has_non_finite(), "matrix {which}, {bad}");
+            }
+        }
     }
 
     #[test]

@@ -76,7 +76,9 @@ pub struct FrontendConfig {
     pub http: Http1Config,
     /// Candidates accepted per rank request (caps per-request work).
     pub max_candidates: usize,
-    /// How long a quiet keep-alive connection is held before closing.
+    /// How long a quiet keep-alive connection is held before closing,
+    /// counted from its last response (or from its opening, before the
+    /// first request).
     pub idle_timeout: Duration,
 }
 
@@ -277,7 +279,9 @@ fn handle_connection(
         Ok(c) => c,
         Err(_) => return,
     };
-    let opened = Instant::now();
+    // When the connection last went quiet: at open, then after each
+    // response.
+    let mut quiet_since = Instant::now();
     loop {
         if stop.load(Ordering::SeqCst) {
             return;
@@ -287,7 +291,7 @@ fn handle_connection(
             Err(ReadError::Timeout) => {
                 // Quiet keep-alive connection: hold it up to the idle
                 // budget, then close without an error response.
-                if opened.elapsed() >= cfg.idle_timeout {
+                if quiet_since.elapsed() >= cfg.idle_timeout {
                     return;
                 }
                 continue;
@@ -327,6 +331,7 @@ fn handle_connection(
         if write.is_err() || !keep_alive {
             return;
         }
+        quiet_since = Instant::now();
     }
 }
 

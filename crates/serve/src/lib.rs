@@ -7,7 +7,7 @@
 //! sources misbehave, and load exceeds capacity. Four pieces interlock:
 //!
 //! - [`registry`] — versioned model registry: every load is validated
-//!   (parse, dimension pin, all-finite, FNV-1a checksum) before an
+//!   (parse, dimension pin, all-finite, content checksum) before an
 //!   atomic pointer swap publishes it; readers pin their version for
 //!   the whole request; a failed load never evicts the serving model.
 //! - [`admission`] — bounded admission: an in-flight cap, a FIFO wait

@@ -16,9 +16,12 @@
 //!   `EmbeddingStore::load_data` for truncation / malformed lines / NaN),
 //! - parameters are all finite ([`EmbeddingStore::has_non_finite`]),
 //! - the embedding dimension matches the registry's pin (when set),
-//! - the FNV-1a checksum over the parameter bits matches the expected
-//!   value (when one is supplied, e.g. from a `.sum` sidecar).
+//! - the [`store_checksum`] over the parameter bits matches the expected
+//!   value (when one is supplied, e.g. from a `.sum` sidecar, whose `fx4`
+//!   tag names that checksum). It always detects a change confined to
+//!   one word (two adjacent parameters).
 
+use std::hash::Hasher;
 use std::io::{BufRead, BufReader, Read};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -28,6 +31,7 @@ use inf2vec_embed::EmbeddingStore;
 use inf2vec_eval::score::RepresentationModel;
 use inf2vec_graph::NodeId;
 use inf2vec_util::error::{DataError, Inf2vecError};
+use inf2vec_util::FxHasher;
 
 /// One immutable, validated model generation.
 #[derive(Debug)]
@@ -50,7 +54,8 @@ impl ModelVersion {
         &self.label
     }
 
-    /// FNV-1a checksum over the parameter bits ([`store_checksum`]).
+    /// Content checksum over the parameter bits ([`store_checksum`]),
+    /// computed by the install that created this version.
     pub fn checksum(&self) -> u64 {
         self.checksum
     }
@@ -153,40 +158,66 @@ impl RepresentationModel for FallbackScorer<'_> {
     }
 }
 
-/// FNV-1a (64-bit) over the store's logical content: `n`, `k`,
-/// `use_bias`, then the little-endian bits of every parameter in
-/// source → target → bias order. Stable across platforms; cheap enough
-/// to run on every load.
+/// The store's content checksum: the parameters of source → target →
+/// bias → bias̃ as little-endian `u64` words (two `f32::to_bits` per word,
+/// low half first; a matrix of odd length ends on a word with a zero high
+/// half), each matrix's words fed round-robin into four [`FxHasher`]
+/// lanes starting at lane 0, then `n`, `k`, `use_bias` and the four lane
+/// states folded into one final Fx state.
+///
+/// Each Fx step is a bijection of its lane's state for a fixed word, and
+/// of the word for a fixed state, so changing any single word — in
+/// particular any single parameter — always changes the checksum. Larger
+/// changes (negated or swapped rows, `source` and `target` swapped) change
+/// it with overwhelming probability, because each lane depends on the
+/// order of its words. Reads the parameters in place, and the four lanes
+/// are independent multiply chains the CPU overlaps. Stable across
+/// platforms.
 pub fn store_checksum(store: &EmbeddingStore) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            h ^= b as u64;
-            h = h.wrapping_mul(PRIME);
-        }
-    };
-    eat(&(store.len() as u64).to_le_bytes());
-    eat(&(store.k() as u64).to_le_bytes());
-    eat(&[store.use_bias as u8]);
+    let mut lanes = [FxHasher::default(); 4];
     for m in [
         &store.source,
         &store.target,
         &store.bias_src,
         &store.bias_tgt,
     ] {
-        for v in m.to_vec() {
-            eat(&v.to_bits().to_le_bytes());
+        let mut blocks = m.as_slice().chunks_exact(8);
+        for block in &mut blocks {
+            for (i, lane) in lanes.iter_mut().enumerate() {
+                lane.write_u64(word(block[2 * i], block[2 * i + 1]));
+            }
+        }
+        for (lane, pair) in lanes.iter_mut().zip(blocks.remainder().chunks(2)) {
+            lane.write_u64(word(pair[0], pair.get(1).copied().unwrap_or(0.0)));
         }
     }
-    h
+    let mut h = FxHasher::default();
+    h.write_u64(store.len() as u64);
+    h.write_u64(store.k() as u64);
+    h.write_u8(u8::from(store.use_bias));
+    for lane in lanes {
+        h.write_u64(lane.finish());
+    }
+    h.finish()
 }
 
+/// Two parameters as one little-endian word: `lo`'s bits, then `hi`'s.
+#[inline]
+fn word(lo: f32, hi: f32) -> u64 {
+    u64::from(lo.to_bits()) | u64::from(hi.to_bits()) << 32
+}
+
+/// Names the checksum a `.sum` sidecar holds: [`store_checksum`]'s four
+/// Fx lanes.
+const SIDECAR_TAG: &str = "fx4";
+
 /// Reads a `<path>.sum` sidecar written by [`write_checksum_sidecar`]:
-/// one line, the checksum as 16 lowercase hex digits. Returns `None`
-/// when the sidecar does not exist (checksum verification is then
-/// skipped), `Err` when it exists but cannot be parsed.
+/// one line, the tag `fx4`, a space, and the checksum as 16 lowercase hex
+/// digits. Returns `None` when the sidecar does not exist (checksum
+/// verification is then skipped), `Err` when it exists but cannot be
+/// parsed. An untagged line is what earlier builds wrote for another
+/// checksum: its error asks for a re-export instead of reporting the
+/// snapshot corrupt.
 pub fn read_checksum_sidecar(snapshot_path: &Path) -> Result<Option<u64>, Inf2vecError> {
     let sidecar = sidecar_path(snapshot_path);
     let text = match std::fs::read_to_string(&sidecar) {
@@ -195,20 +226,28 @@ pub fn read_checksum_sidecar(snapshot_path: &Path) -> Result<Option<u64>, Inf2ve
         Err(e) => return Err(Inf2vecError::Io(e)),
     };
     let trimmed = text.trim();
-    u64::from_str_radix(trimmed, 16)
-        .map(Some)
-        .map_err(|_| {
-            Inf2vecError::Data(DataError::Invalid {
-                message: format!(
-                    "checksum sidecar {} is not 16 hex digits: {trimmed:?}",
-                    sidecar.display()
-                ),
-            })
-        })
+    let invalid = |message: String| Inf2vecError::Data(DataError::Invalid { message });
+    let Some(hex) = trimmed
+        .strip_prefix(SIDECAR_TAG)
+        .and_then(|rest| rest.strip_prefix(' '))
+    else {
+        return Err(invalid(format!(
+            "checksum sidecar {} lacks the {SIDECAR_TAG:?} tag: {trimmed:?}; earlier builds \
+             wrote another checksum untagged, re-export the snapshot",
+            sidecar.display()
+        )));
+    };
+    match u64::from_str_radix(hex, 16) {
+        Ok(sum) if hex.len() == 16 => Ok(Some(sum)),
+        _ => Err(invalid(format!(
+            "checksum sidecar {} is not {SIDECAR_TAG:?} and 16 hex digits: {trimmed:?}",
+            sidecar.display()
+        ))),
+    }
 }
 
 /// Writes the `<path>.sum` sidecar next to a snapshot so later loads can
-/// verify integrity. Returns the checksum it wrote.
+/// verify integrity: `fx4 <16 hex digits>`. Returns the checksum it wrote.
 ///
 /// The write is atomic (temp sibling + fsync + rename, same semantics as
 /// checkpoints): a crash mid-publish leaves either the previous sidecar
@@ -220,7 +259,7 @@ pub fn write_checksum_sidecar(
     let sum = store_checksum(store);
     inf2vec_util::atomic_write(&sidecar_path(snapshot_path), |w| {
         use std::io::Write;
-        writeln!(w, "{sum:016x}")
+        writeln!(w, "{SIDECAR_TAG} {sum:016x}")
     })
     .map_err(Inf2vecError::Io)?;
     Ok(sum)
@@ -448,8 +487,90 @@ mod tests {
             .install_checked(store(6, 3, 10), "tampered", Some(sum))
             .unwrap_err();
         assert!(err.to_string().contains("checksum mismatch"), "{err}");
-        // The mismatch did not evict the good install.
+        // One bit flipped after the checksum was taken.
+        let flipped = store(6, 3, 9);
+        flip_bit(&flipped.target, 17, 3);
+        let err = reg
+            .install_checked(flipped, "bit-flipped", Some(sum))
+            .unwrap_err();
+        assert!(err.to_string().contains("checksum mismatch"), "{err}");
+        // The mismatches did not evict the good install.
         assert_eq!(reg.current_version(), 1);
+    }
+
+    /// Flips bit `bit` of the `i`-th parameter (row-major) of `m`.
+    fn flip_bit(m: &inf2vec_embed::HogwildMatrix, i: usize, bit: u32) {
+        let (r, c) = (i / m.cols(), i % m.cols());
+        // SAFETY: single-threaded test, one row borrow at a time.
+        let slot = unsafe { &mut m.row_mut(r)[c] };
+        *slot = f32::from_bits(slot.to_bits() ^ (1 << bit));
+    }
+
+    /// n = 3, k = 5 with non-zero biases: 36 parameters, and no matrix
+    /// length is a multiple of the checksum's 8-parameter block.
+    fn odd_store() -> EmbeddingStore {
+        let s = store(3, 5, 21);
+        for u in 0..3 {
+            // SAFETY: single-threaded test, one row borrow at a time.
+            unsafe {
+                s.bias_src.row_mut(u)[0] = 0.25 + u as f32;
+                s.bias_tgt.row_mut(u)[0] = -0.5 - u as f32;
+            }
+        }
+        s
+    }
+
+    fn matrices(s: &EmbeddingStore) -> [&inf2vec_embed::HogwildMatrix; 4] {
+        [&s.source, &s.target, &s.bias_src, &s.bias_tgt]
+    }
+
+    #[test]
+    fn checksum_detects_every_single_bit_flip() {
+        let clean = store_checksum(&odd_store());
+        let lens = matrices(&odd_store()).map(|m| m.as_slice().len());
+        assert_eq!(lens, [15, 15, 3, 3]);
+        for (which, len) in lens.into_iter().enumerate() {
+            for i in 0..len {
+                for bit in 0..32 {
+                    let s = odd_store();
+                    flip_bit(matrices(&s)[which], i, bit);
+                    assert_ne!(
+                        store_checksum(&s),
+                        clean,
+                        "matrix {which}, parameter {i}, bit {bit}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn checksum_covers_flags_and_structure() {
+        let clean = store_checksum(&odd_store());
+
+        let mut s = odd_store();
+        s.use_bias = false;
+        assert_ne!(store_checksum(&s), clean, "use_bias toggled");
+
+        // Negating a row flips an even number of sign bits (the pipeline's
+        // poisoned-snapshot pattern).
+        let s = odd_store();
+        // SAFETY: single-threaded test, one row borrow at a time.
+        unsafe { s.source.row_mut(1).iter_mut().for_each(|x| *x = -*x) };
+        assert_ne!(store_checksum(&s), clean, "source row negated");
+
+        let s = odd_store();
+        let (r0, r2) = (s.source.row(0).to_vec(), s.source.row(2).to_vec());
+        // SAFETY: single-threaded test, one row borrow at a time.
+        unsafe {
+            s.source.row_mut(0).copy_from_slice(&r2);
+            s.source.row_mut(2).copy_from_slice(&r0);
+        }
+        assert_ne!(store_checksum(&s), clean, "source rows swapped");
+
+        let mut s = odd_store();
+        std::mem::swap(&mut s.source, &mut s.target);
+        assert_ne!(store_checksum(&s), clean, "source and target swapped");
     }
 
     #[test]
@@ -586,9 +707,32 @@ mod tests {
         let m = reg.load_from_path(&path).unwrap();
         assert_eq!(m.checksum(), sum);
 
+        assert_eq!(
+            std::fs::read_to_string(sidecar_path(&path)).unwrap(),
+            format!("fx4 {sum:016x}\n")
+        );
+
         // Tamper with the sidecar: the load must now fail closed.
-        std::fs::write(sidecar_path(&path), "0000000000000001\n").unwrap();
+        std::fs::write(sidecar_path(&path), "fx4 0000000000000001\n").unwrap();
         assert!(reg.load_from_path(&path).is_err());
+
+        // An untagged sidecar, as earlier builds wrote, fails typed and
+        // asks for a re-export; the serving model is unchanged.
+        std::fs::write(sidecar_path(&path), format!("{sum:016x}\n")).unwrap();
+        for err in [
+            read_checksum_sidecar(&path).unwrap_err(),
+            reg.load_from_path(&path).unwrap_err(),
+        ] {
+            let Inf2vecError::Data(DataError::Invalid { message }) = &err else {
+                panic!("untagged sidecar must fail as DataError::Invalid, got {err:?}");
+            };
+            assert!(
+                message.contains("\"fx4\"") && message.contains("re-export"),
+                "{message}"
+            );
+        }
+        let cur = reg.current().unwrap();
+        assert_eq!((cur.version(), cur.checksum()), (m.version(), sum));
 
         // Eviction clears current but keeps the fallback; stale evictions
         // of already-replaced versions are no-ops.

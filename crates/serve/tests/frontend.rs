@@ -142,6 +142,37 @@ fn score_routes_and_keep_alive_pipelining() {
     frontend.stop();
 }
 
+/// The idle budget counts from the last response, not from the
+/// connection's opening: a keep-alive client that keeps sending, with
+/// every gap under `idle_timeout`, is never closed, however long it lives.
+#[test]
+fn idle_timeout_counts_from_the_last_request() {
+    let (_svc, frontend) = start_frontend(FrontendConfig {
+        http: Http1Config {
+            read_timeout: Duration::from_millis(50),
+            ..Http1Config::default()
+        },
+        idle_timeout: Duration::from_millis(300),
+        ..FrontendConfig::default()
+    });
+    let mut stream = TcpStream::connect(frontend.local_addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(2)))
+        .unwrap();
+    for i in 0..8 {
+        if i > 0 {
+            std::thread::sleep(Duration::from_millis(120));
+        }
+        stream
+            .write_all(post("/v1/score", "{\"u\":2,\"v\":5}").as_bytes())
+            .unwrap();
+        let (status, body) = read_response(&mut stream)
+            .unwrap_or_else(|| panic!("request {i} got no answer: connection closed"));
+        assert_eq!(status, "HTTP/1.1 200 OK", "request {i}: {body}");
+    }
+    frontend.stop();
+}
+
 #[test]
 fn metrics_and_healthz_are_served() {
     let (_svc, frontend) = start_frontend(FrontendConfig::default());

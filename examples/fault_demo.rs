@@ -8,36 +8,18 @@
 //! cargo run --release --example fault_demo -- diverge /tmp/c.ckpt   # guard exhausts its budget
 //! ```
 //!
-//! `run` and `resume` print a fingerprint of the final embedding store;
-//! matching fingerprints demonstrate the bit-identical resume guarantee.
+//! `run` and `resume` print a fingerprint of the final embedding store
+//! (`inf2vec::serve::store_checksum`); matching fingerprints demonstrate
+//! the bit-identical resume guarantee.
 
 use std::process::exit;
 
 use inf2vec::core::train::{train_resumable_on_source, CheckpointConfig, FaultTolerance};
-use inf2vec::core::{Inf2vecConfig, Inf2vecModel, InfluenceContextSource};
+use inf2vec::core::{Inf2vecConfig, InfluenceContextSource};
 use inf2vec::diffusion::synth::{generate, SyntheticConfig};
 use inf2vec::diffusion::PropagationNetwork;
 use inf2vec::embed::faultinject::PanicAfter;
 use inf2vec::embed::{DivergenceGuard, NegativeTable, PairSource};
-
-/// FNV-1a over the exact bit patterns of all four parameter matrices.
-fn fingerprint(model: &Inf2vecModel) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for m in [
-        &model.store.source,
-        &model.store.target,
-        &model.store.bias_src,
-        &model.store.bias_tgt,
-    ] {
-        for x in m.to_vec() {
-            for b in x.to_bits().to_le_bytes() {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        }
-    }
-    h
-}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -105,7 +87,10 @@ fn main() {
             if !report.recoveries.is_empty() {
                 println!("recoveries: {:?}", report.recoveries);
             }
-            println!("fingerprint: {:016x}", fingerprint(&model));
+            println!(
+                "fingerprint: {:016x}",
+                inf2vec::serve::store_checksum(&model.store)
+            );
         }
         Err(e) => {
             eprintln!("training failed: {e}");
