@@ -38,13 +38,13 @@ use std::time::{Duration, Instant, SystemTime};
 
 use inf2vec_embed::EmbeddingStore;
 use inf2vec_obs::{Histogram, SampleValue, Snapshot, Telemetry};
+use inf2vec_serve::chaos::{reconcile, run_script};
 use inf2vec_serve::frontend::metrics as fe_metrics;
 use inf2vec_serve::service::metrics as sv_metrics;
 use inf2vec_serve::{
-    store_checksum, AdmissionConfig, BatchConfig, Batcher, BreakerConfig, Frontend,
-    FrontendConfig, ScoringService, ServeConfig, OUTCOMES,
+    AdmissionConfig, BatchConfig, Batcher, BreakerConfig, Frontend, FrontendConfig, ScoringService,
+    ServeConfig, OUTCOMES,
 };
-use inf2vec_util::faultinject::{FaultSchedule, SnapshotFault};
 use inf2vec_util::json::push_json_string;
 use inf2vec_util::rng::{split_seed, Xoshiro256pp};
 
@@ -341,166 +341,6 @@ fn client_loop(
     tally
 }
 
-// ----- the chaos driver ---------------------------------------------------
-
-/// Driver-side counts from one pass over the chaos schedule.
-#[derive(Debug, Default)]
-struct DriverTally {
-    swaps_ok: u64,
-    swaps_failed: u64,
-    suppressed: u64,
-    mismatches: Vec<String>,
-}
-
-/// Replays the PR 4 chaos schedule against the live service: the same
-/// script `repro serve` runs — good swap, corrupt, slow swap, truncated,
-/// a flaky streak tripping the breaker, a suppressed reload, an
-/// overflow model that must be quarantined at runtime (degraded answers
-/// flow to the wire meanwhile), and a final good swap.
-fn chaos_driver(svc: &ScoringService, seed: u64, pause: Duration) -> DriverTally {
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    enum Expect {
-        Swap,
-        Fail,
-        Suppressed,
-    }
-    let model_a = EmbeddingStore::new(N_NODES, DIM, seed + 1);
-    let model_b = EmbeddingStore::new(N_NODES, DIM, seed + 2);
-    let overflow = EmbeddingStore::new(N_NODES, DIM, seed + 3);
-    for i in 0..N_NODES {
-        unsafe {
-            overflow.source.row_mut(i).fill(1e30);
-            overflow.target.row_mut(i).fill(1e30);
-        }
-    }
-    let mut bytes_a = Vec::new();
-    let mut bytes_b = Vec::new();
-    let mut bytes_ovf = Vec::new();
-    model_a.save(&mut bytes_a).expect("in-memory save");
-    model_b.save(&mut bytes_b).expect("in-memory save");
-    overflow.save(&mut bytes_ovf).expect("in-memory save");
-    let sum_a = store_checksum(&model_a);
-    let sum_b = store_checksum(&model_b);
-
-    type Step<'a> = (&'a str, &'a [u8], Option<u64>, SnapshotFault, Expect);
-    let script: Vec<Step> = vec![
-        ("v-good-a", &bytes_a, Some(sum_a), SnapshotFault::Clean, Expect::Swap),
-        (
-            "v-corrupt",
-            &bytes_a,
-            Some(sum_a),
-            SnapshotFault::Corrupt { period: 37 },
-            Expect::Fail,
-        ),
-        (
-            "v-good-b-slow",
-            &bytes_b,
-            Some(sum_b),
-            // ~4 delayed chunks: a visibly slow hot-swap under traffic
-            // without stalling the whole scripted run.
-            SnapshotFault::Slow {
-                delay_ms: 2,
-                chunk: bytes_b.len() / 4 + 1,
-            },
-            Expect::Swap,
-        ),
-        (
-            "v-truncated",
-            &bytes_a,
-            Some(sum_a),
-            SnapshotFault::Truncate {
-                limit: bytes_a.len() / 2,
-            },
-            Expect::Fail,
-        ),
-        (
-            "v-flaky-1",
-            &bytes_a,
-            Some(sum_a),
-            SnapshotFault::Flaky { fail_after: 128 },
-            Expect::Fail,
-        ),
-        (
-            "v-flaky-2",
-            &bytes_a,
-            Some(sum_a),
-            SnapshotFault::Flaky { fail_after: 128 },
-            Expect::Fail,
-        ),
-        // Third consecutive failure tripped the breaker: this good
-        // payload must be refused without a read.
-        ("v-suppressed", &bytes_a, Some(sum_a), SnapshotFault::Clean, Expect::Suppressed),
-        ("v-overflow", &bytes_ovf, None, SnapshotFault::Clean, Expect::Swap),
-        ("v-final-b", &bytes_b, Some(sum_b), SnapshotFault::Clean, Expect::Swap),
-    ];
-    let schedule = FaultSchedule::new(script.iter().map(|s| s.3).collect());
-    let mut tally = DriverTally::default();
-    for (i, (label, payload, expected_sum, _fault, expect)) in script.iter().enumerate() {
-        let fault = schedule.next_fault();
-        let res = svc.reload_from_reader(label, fault.wrap(*payload), *expected_sum);
-        match (expect, &res) {
-            (Expect::Swap, Ok(_)) => tally.swaps_ok += 1,
-            (Expect::Fail, Err(e)) if !is_suppressed(e) => tally.swaps_failed += 1,
-            (Expect::Suppressed, Err(e)) if is_suppressed(e) => tally.suppressed += 1,
-            (want, got) => tally
-                .mismatches
-                .push(format!("script step {i} ({label}): expected {want:?}, got {got:?}")),
-        }
-        match *label {
-            // Let the breaker's backoff elapse so the next step runs as
-            // a half-open probe.
-            "v-suppressed" => std::thread::sleep(Duration::from_millis(60)),
-            // Wait (bounded) for the wire traffic to trip the runtime
-            // non-finite guard, then for a degraded answer to land.
-            "v-overflow" => {
-                if !wait_until(Duration::from_secs(5), || svc.registry().current().is_none()) {
-                    tally.mismatches.push("overflow model was never quarantined".into());
-                }
-                let degraded_seen = wait_until(Duration::from_secs(5), || {
-                    svc.telemetry()
-                        .snapshot()
-                        .counter_value(sv_metrics::REQUESTS_TOTAL, &[("outcome", "degraded")])
-                        > 0
-                });
-                if !degraded_seen {
-                    tally
-                        .mismatches
-                        .push("no degraded answer was served while quarantined".into());
-                }
-            }
-            _ => std::thread::sleep(pause),
-        }
-    }
-    if schedule.consumed() != schedule.len() {
-        tally.mismatches.push(format!(
-            "fault schedule: consumed {} of {} scripted steps",
-            schedule.consumed(),
-            schedule.len()
-        ));
-    }
-    tally
-}
-
-fn is_suppressed(e: &inf2vec_util::error::Inf2vecError) -> bool {
-    matches!(
-        e,
-        inf2vec_util::error::Inf2vecError::Serve(
-            inf2vec_util::error::ServeError::ModelUnavailable { reason }
-        ) if reason.contains("circuit breaker")
-    )
-}
-
-fn wait_until(timeout: Duration, mut cond: impl FnMut() -> bool) -> bool {
-    let start = Instant::now();
-    while start.elapsed() < timeout {
-        if cond() {
-            return true;
-        }
-        std::thread::sleep(Duration::from_millis(1));
-    }
-    cond()
-}
-
 // ----- the report ---------------------------------------------------------
 
 /// Latency quantiles in milliseconds.
@@ -789,7 +629,7 @@ pub fn serve_load(opts: &Opts) {
     let stop = AtomicBool::new(false);
     let latency = Histogram::exponential(1e-6, 2.0, 28);
     let started = Instant::now();
-    let (driver, client_tallies) = std::thread::scope(|scope| {
+    let (mut driver, client_tallies) = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..conns)
             .map(|w| {
                 let stop = &stop;
@@ -802,7 +642,9 @@ pub fn serve_load(opts: &Opts) {
         // never pause past the breaker's 40ms backoff — the suppressed
         // step must land while the breaker is still open.
         let pause = (duration / 24).min(Duration::from_millis(15));
-        let driver = chaos_driver(&server.svc, opts.seed, pause);
+        // The script seeds its models `seed + 1..=seed + 3`, apart from
+        // the installed `load-v0` model.
+        let driver = run_script(&server.svc, N_NODES, DIM, opts.seed + 1, pause);
         while started.elapsed() < duration {
             std::thread::sleep(Duration::from_millis(2));
         }
@@ -817,7 +659,6 @@ pub fn serve_load(opts: &Opts) {
     server.frontend.stop();
 
     // --- reconciliation ---------------------------------------------------
-    let mut mismatches = driver.mismatches;
     let mut tallies: BTreeMap<String, u64> = BTreeMap::new();
     let mut codes: BTreeMap<String, u64> = BTreeMap::new();
     let mut requests = 0u64;
@@ -832,30 +673,14 @@ pub fn serve_load(opts: &Opts) {
             *codes.entry(k.clone()).or_insert(0) += v;
         }
         for e in &t.transport_errors {
-            mismatches.push(format!("transport: {e}"));
+            driver.mismatches.push(format!("transport: {e}"));
         }
     }
     let snap = telemetry.snapshot();
-    let mut metric_requests: BTreeMap<String, u64> = BTreeMap::new();
-    for outcome in OUTCOMES {
-        let n = snap.counter_value(sv_metrics::REQUESTS_TOTAL, &[("outcome", outcome)]);
-        if n > 0 {
-            metric_requests.insert(outcome.to_string(), n);
-        }
-        let tallied = tallies.get(outcome).copied().unwrap_or(0);
-        if tallied != n {
-            mismatches.push(format!(
-                "outcome {outcome}: clients tallied {tallied}, metrics say {n}"
-            ));
-        }
-    }
-    let tally_sum: u64 = tallies.values().sum();
-    if tally_sum != requests {
-        mismatches.push(format!(
-            "tallies sum to {tally_sum} but {requests} responses were received \
-             (some request vanished without an outcome)"
-        ));
-    }
+    // The initial `load-v0` install is one swap outside the script.
+    let (metric_requests, quarantined) =
+        reconcile(&snap, &tallies, requests, bad_values, &mut driver, 1);
+    let mismatches = &mut driver.mismatches;
     for (code, n) in &codes {
         let got = snap.counter_value(fe_metrics::HTTP_REQUESTS_TOTAL, &[("code", code.as_str())]);
         if got != *n {
@@ -863,27 +688,6 @@ pub fn serve_load(opts: &Opts) {
                 "http code {code}: clients saw {n}, front-end counter says {got}"
             ));
         }
-    }
-    if bad_values > 0 {
-        mismatches.push(format!(
-            "{bad_values} 200-responses carried a null (non-finite) score"
-        ));
-    }
-    for (name, want, what) in [
-        (sv_metrics::SWAP_TOTAL, driver.swaps_ok + 1, "successful swaps (incl. install)"),
-        (sv_metrics::SWAP_FAILED_TOTAL, driver.swaps_failed, "failed loads"),
-        (sv_metrics::BREAKER_SUPPRESSED_TOTAL, driver.suppressed, "suppressed reloads"),
-    ] {
-        let got = snap.counter_value(name, &[]);
-        if got != want {
-            mismatches.push(format!("{what}: driver saw {want}, metric {name} says {got}"));
-        }
-    }
-    let quarantined = snap.counter_value(sv_metrics::QUARANTINED_TOTAL, &[]);
-    if quarantined != 1 {
-        mismatches.push(format!(
-            "expected exactly 1 quarantined version, metrics say {quarantined}"
-        ));
     }
     let batch_mean = match snap.get(inf2vec_serve::batch::metrics::BATCH_SIZE).map(|s| &s.value)
     {
@@ -906,7 +710,7 @@ pub fn serve_load(opts: &Opts) {
         suppressed: driver.suppressed,
         quarantined,
         bad_values,
-        mismatches,
+        mismatches: driver.mismatches,
     };
     opts.say(&report.summary());
     if let Some(path) = &opts.load_report {

@@ -294,42 +294,6 @@ impl ArchiveStore {
         Ok(store)
     }
 
-    /// [`ArchiveStore::open`] on [`archive_dir`]`(log_path)`, importing a
-    /// legacy monolithic `<log>.archive` file (pre-segmentation layout)
-    /// as segment 0 and removing it. The import is idempotent: a crash
-    /// between the seal and the unlink re-detects the already-imported
-    /// bytes and just finishes the unlink.
-    pub fn open_for_log(log_path: &Path, now_ms: u64) -> io::Result<Self> {
-        let mut store = Self::open(archive_dir(log_path))?;
-        let legacy = legacy_archive_path(log_path);
-        let bytes = match fs::read(&legacy) {
-            Ok(b) => b,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(store),
-            Err(e) => return Err(e),
-        };
-        let already = store.start.offset == 0
-            && store.end_offset() == bytes.len() as u64
-            && !bytes.is_empty()
-            && !store.segments.is_empty();
-        if store.segments.is_empty() && store.start == ArchiveStart::default() {
-            if !bytes.is_empty() {
-                let lines = bytes.iter().filter(|&&b| b == b'\n').count() as u64;
-                store.seal(&bytes, lines, now_ms, None)?;
-            }
-        } else if !already {
-            return Err(corrupt(format!(
-                "legacy archive {} coexists with a non-matching segmented store \
-                 (segments hold [{}, {}), legacy holds [0, {}))",
-                legacy.display(),
-                store.start.offset,
-                store.end_offset(),
-                bytes.len()
-            )));
-        }
-        fs::remove_file(&legacy)?;
-        Ok(store)
-    }
-
     /// The directory this store lives in.
     pub fn dir(&self) -> &Path {
         &self.dir
@@ -763,14 +727,6 @@ fn simulated_crash() -> io::Error {
     io::Error::new(io::ErrorKind::Interrupted, "injected crash mid-expiry")
 }
 
-/// The pre-segmentation monolithic archive file (`<log>.archive`),
-/// recognized for import only.
-pub fn legacy_archive_path(log_path: &Path) -> PathBuf {
-    let mut os = log_path.as_os_str().to_os_string();
-    os.push(".archive");
-    PathBuf::from(os)
-}
-
 fn read_segment_header(path: &Path) -> io::Result<SegmentMeta> {
     let bytes = fs::read(path)?;
     let nl = bytes
@@ -990,24 +946,6 @@ mod tests {
         let s = store.expire(&policy, stream.len() as u64, 0, None).unwrap();
         assert_eq!(s.segments, 2);
         store.verify(None).unwrap();
-    }
-
-    #[test]
-    fn legacy_archive_imports_as_segment_zero() {
-        let dir = tmp("legacy");
-        let log = dir.join("actions.log");
-        let legacy = legacy_archive_path(&log);
-        fs::write(&legacy, b"0 0 1\n1 0 2\n").unwrap();
-        fs::write(&log, render_sentinel(TailPosition { offset: 12, line_no: 2 })).unwrap();
-        let store = ArchiveStore::open_for_log(&log, 7).unwrap();
-        assert!(!legacy.exists(), "legacy file consumed");
-        assert_eq!(store.segments().len(), 1);
-        assert_eq!(store.end_offset(), 12);
-        assert_eq!(store.segments()[0].lines, 2);
-        store.verify(Some(&log)).unwrap();
-        // Idempotent: opening again (no legacy file) is a no-op.
-        let store = ArchiveStore::open_for_log(&log, 8).unwrap();
-        assert_eq!(store.segments().len(), 1);
     }
 
     #[test]

@@ -68,8 +68,8 @@ mod tail;
 mod validated;
 
 pub use archive::{
-    archive_dir, legacy_archive_path, ArchiveStart, ArchiveStore, ExpiryStats, RestoreStats,
-    RetentionPolicy, SegmentMeta, VerifyReport, ARCHIVE_SCHEMA_VERSION,
+    archive_dir, ArchiveStart, ArchiveStore, ExpiryStats, RestoreStats, RetentionPolicy,
+    SegmentMeta, VerifyReport, ARCHIVE_SCHEMA_VERSION,
 };
 pub use idmap::IdMap;
 pub use policy::{ErrorPolicy, IdMode, IngestConfig, RATIO_MIN_RECORDS};

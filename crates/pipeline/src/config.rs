@@ -34,11 +34,11 @@ pub struct PipelineConfig {
     pub journal_every_batches: u32,
     /// Offer a snapshot to the publisher every N closed episodes.
     pub publish_every_episodes: u64,
-    /// Publish retry attempts before giving the snapshot up.
+    /// Publish attempts before giving the snapshot up.
     pub publish_max_attempts: u32,
-    /// First retry backoff; doubles per attempt.
+    /// Sleep after the first failed publish attempt; doubles per attempt.
     pub publish_backoff: Duration,
-    /// Retry backoff ceiling.
+    /// Ceiling on every publish retry sleep, the first one included.
     pub publish_backoff_cap: Duration,
     /// Per-stage restarts tolerated before the pipeline escalates to
     /// [`PipelineError::StageFailed`](inf2vec_util::PipelineError::StageFailed).
@@ -53,14 +53,12 @@ pub struct PipelineConfig {
     /// Compact the action log once its physical size exceeds this many
     /// bytes (`0` disables compaction). Compaction only ever drops bytes
     /// below the *older* of the two journal slots' committed offsets, so
-    /// any recoverable journal can still resume.
-    pub log_budget_bytes: u64,
-    /// Seal each compacted prefix into the segmented archive store
+    /// any recoverable journal can still resume. Each compacted prefix is
+    /// first sealed into the segmented archive store
     /// (`<log>.archive.d/`), so `archive ++ live payload` reconstructs
     /// the full logical stream (what a from-scratch bit-identity replay
-    /// needs). A legacy monolithic `<log>.archive` file is imported as
-    /// segment 0 on first use.
-    pub archive_compacted: bool,
+    /// needs).
+    pub log_budget_bytes: u64,
     /// Retained archive payload budget in bytes: expiry drops the oldest
     /// segments while the retained total exceeds this (`0` = unlimited).
     /// Segments inside the journal replay window are never expired.
@@ -73,11 +71,12 @@ pub struct PipelineConfig {
     /// are process-relative, so segments from an earlier process look
     /// young (never spuriously old).
     pub archive_max_age: Option<Duration>,
-    /// Bounded attempts for journal/compaction/snapshot disk writes
-    /// before that write degrades (training continues, the write is
-    /// skipped until the next boundary).
+    /// Attempts for each journal write, archive seal, archive expiry and
+    /// snapshot export before that write degrades (training continues,
+    /// the write is skipped until the next boundary).
     pub disk_max_attempts: u32,
-    /// Backoff between disk-write retry attempts; doubles per attempt.
+    /// Sleep after the first failed disk-write attempt; doubles per
+    /// attempt, uncapped.
     pub disk_retry_backoff: Duration,
     /// Export every successfully published snapshot to this directory
     /// (atomic write + checksum sidecar). `None` disables export.
@@ -113,7 +112,6 @@ impl Default for PipelineConfig {
             restart_budget: 5,
             user_capacity: 0,
             log_budget_bytes: 0,
-            archive_compacted: false,
             archive_max_bytes: 0,
             archive_max_segments: 0,
             archive_max_age: None,

@@ -1,96 +1,67 @@
 //! Deterministic fault schedule for soak and robustness tests.
 //!
-//! Every trigger is keyed on a *monotonic cumulative counter* owned by the
-//! plan itself (items delivered, episodes closed, publish attempts,
-//! journal writes) — never on wall clock, and never on the pipeline's own
-//! replayable counters. A trigger fires exactly once even when recovery
-//! replays the pipeline counter past the same value again, so an injected
-//! crash cannot re-trigger itself into a crash loop.
+//! A [`FaultPlan`] maps each [`Fault`] class to an ascending list of
+//! thresholds over a *monotonic cumulative counter* the plan owns for
+//! that class (items delivered, episodes closed, attempts made) — never
+//! wall clock, and never the pipeline's own replayable counters. Each
+//! [`tick_by`](FaultPlan::tick_by) advances the class's counter and
+//! fires when it crosses a not-yet-consumed threshold; every threshold
+//! fires exactly once, even when recovery replays the pipeline past the
+//! same point again, so an injected crash cannot re-trigger itself into
+//! a crash loop. With steps of one, a threshold list reads as the
+//! 1-based ordinals of the ticks that fire.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::Duration;
+
+/// One class of injectable fault, named after the tick that fires it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Fault {
+    /// Panic the tailer before it sends a batch; ticked by the batch's
+    /// item count.
+    TailerPanic,
+    /// Panic the trainer at an episode close, before the model mutates.
+    TrainerPanic,
+    /// Fail a publish attempt.
+    PublishAttempt,
+    /// Panic the publisher after a snapshot has settled.
+    PublisherPanic,
+    /// Truncate the journal slot just written (a torn write the next
+    /// recovery must survive via the other slot).
+    JournalTruncate,
+    /// Fail a journal write attempt ENOSPC-style: the write accepts a
+    /// few bytes then errors and the slot is left untouched.
+    JournalWrite,
+    /// Fail a log-compaction rewrite mid-write (the live log and its
+    /// archive stay consistent; the next journal boundary retries).
+    Compaction,
+    /// Fail a snapshot-export write attempt mid-stream.
+    SnapshotWrite,
+    /// Fail an archive segment-seal write attempt mid-stream (the store
+    /// is unchanged).
+    ArchiveSeal,
+    /// Fail an archive-expiry manifest write attempt (the old boundary
+    /// and every segment survive).
+    ArchiveExpiry,
+    /// Poison a snapshot the publisher received: the parameter bits are
+    /// mangled *and the checksum recomputed*, so only a semantic quality
+    /// gate — not an integrity check — can catch it.
+    PoisonSnapshot,
+}
+
+const FAULT_CLASSES: usize = Fault::PoisonSnapshot as usize + 1;
 
 /// A scripted schedule of injected faults. [`FaultPlan::none`] is inert
 /// and is what production construction uses.
 #[derive(Debug, Default)]
 pub struct FaultPlan {
-    /// Panic the tailer once its cumulative delivered-item count crosses
-    /// each value (ascending).
-    pub tailer_panic_after_items: Vec<u64>,
-    /// Panic the trainer once its cumulative episode-close count crosses
-    /// each value (ascending).
-    pub trainer_panic_after_episodes: Vec<u64>,
-    /// Fail these 1-based publish attempt ordinals.
-    pub publish_fail_attempts: Vec<u64>,
-    /// Panic the publisher once its cumulative snapshot count crosses
-    /// each value (ascending).
-    pub publisher_panic_after_snapshots: Vec<u64>,
-    /// After each of these 1-based journal writes, truncate the slot that
-    /// was just written (a torn write the next recovery must survive via
-    /// the other slot).
-    pub truncate_journal_after_writes: Vec<u64>,
-    /// Fail these 1-based journal *write attempts* ENOSPC-style: the
-    /// write accepts a few bytes then errors, the slot is left untouched
-    /// (unlike a torn truncation, which corrupts it after the fact).
-    /// Consecutive ordinals exhaust a retry chain.
-    pub journal_write_fail_attempts: Vec<u64>,
-    /// Fail these 1-based log-compaction attempts (the atomic rewrite
-    /// dies mid-write; the live log and its archive stay consistent and
-    /// the next journal boundary retries).
-    pub compaction_fail_attempts: Vec<u64>,
-    /// Fail these 1-based snapshot-export write attempts.
-    pub snapshot_write_fail_attempts: Vec<u64>,
-    /// Fail these 1-based archive segment-seal write attempts (the
-    /// atomic segment write dies mid-stream; the store is unchanged and
-    /// the bounded retry chain — or the next boundary — tries again).
-    pub archive_seal_fail_attempts: Vec<u64>,
-    /// Fail these 1-based archive-expiry manifest write attempts (the
-    /// manifest-before-delete commit dies mid-write; the old boundary
-    /// and every segment survive).
-    pub expiry_fail_attempts: Vec<u64>,
-    /// Poison these 1-based publisher-received snapshots: the parameter
-    /// bits are mangled *and the checksum recomputed*, so only a
-    /// semantic quality gate — not an integrity check — can catch it.
-    pub poison_snapshots: Vec<u64>,
-    /// Extra delay injected into every publish (a slow registry).
-    pub publish_delay: Option<Duration>,
-
-    items: AtomicU64,
-    items_idx: AtomicUsize,
-    episodes: AtomicU64,
-    episodes_idx: AtomicUsize,
-    attempts: AtomicU64,
-    snapshots: AtomicU64,
-    snapshots_idx: AtomicUsize,
-    journal_writes: AtomicU64,
-    writes_idx: AtomicUsize,
-    journal_attempts: AtomicU64,
-    compaction_attempts: AtomicU64,
-    snapshot_writes: AtomicU64,
-    archive_seals: AtomicU64,
-    expiries: AtomicU64,
-    received: AtomicU64,
-}
-
-/// Advances `counter` by `n` and reports whether any threshold in
-/// `(old, new]` fires; `idx` consumes thresholds so each fires once.
-fn crossed(counter: &AtomicU64, idx: &AtomicUsize, thresholds: &[u64], n: u64) -> bool {
-    let new = counter.fetch_add(n, Ordering::SeqCst) + n;
-    let mut fired = false;
-    loop {
-        let i = idx.load(Ordering::SeqCst);
-        match thresholds.get(i) {
-            Some(&t) if t <= new => {
-                if idx
-                    .compare_exchange(i, i + 1, Ordering::SeqCst, Ordering::SeqCst)
-                    .is_ok()
-                {
-                    fired = true;
-                }
-            }
-            _ => return fired,
-        }
-    }
+    /// Ascending thresholds per fault class.
+    at: [Vec<u64>; FAULT_CLASSES],
+    /// Cumulative tick count per class.
+    ticks: [AtomicU64; FAULT_CLASSES],
+    /// Thresholds consumed per class.
+    fired: [AtomicUsize; FAULT_CLASSES],
+    publish_delay: Option<Duration>,
 }
 
 impl FaultPlan {
@@ -99,164 +70,51 @@ impl FaultPlan {
         Self::default()
     }
 
-    /// Schedules tailer panics (ascending cumulative item thresholds).
-    pub fn with_tailer_panics(mut self, after_items: Vec<u64>) -> Self {
-        self.tailer_panic_after_items = after_items;
+    /// Schedules `fault` at the given thresholds (1-based; sorted here),
+    /// replacing any earlier schedule for that class.
+    pub fn with(mut self, fault: Fault, at: impl IntoIterator<Item = u64>) -> Self {
+        let mut at: Vec<u64> = at.into_iter().collect();
+        at.sort_unstable();
+        self.at[fault as usize] = at;
         self
     }
 
-    /// Schedules trainer panics (ascending cumulative episode thresholds).
-    pub fn with_trainer_panics(mut self, after_episodes: Vec<u64>) -> Self {
-        self.trainer_panic_after_episodes = after_episodes;
-        self
-    }
-
-    /// Fails the given 1-based publish attempt ordinals.
-    pub fn with_publish_failures(mut self, attempts: Vec<u64>) -> Self {
-        self.publish_fail_attempts = attempts;
-        self
-    }
-
-    /// Schedules publisher panics (ascending cumulative snapshot thresholds).
-    pub fn with_publisher_panics(mut self, after_snapshots: Vec<u64>) -> Self {
-        self.publisher_panic_after_snapshots = after_snapshots;
-        self
-    }
-
-    /// Truncates the slot after the given 1-based journal writes.
-    pub fn with_journal_truncations(mut self, after_writes: Vec<u64>) -> Self {
-        self.truncate_journal_after_writes = after_writes;
-        self
-    }
-
-    /// Fails the given 1-based journal write attempts ENOSPC-style.
-    pub fn with_journal_write_failures(mut self, attempts: Vec<u64>) -> Self {
-        self.journal_write_fail_attempts = attempts;
-        self
-    }
-
-    /// Fails the given 1-based log-compaction attempts.
-    pub fn with_compaction_failures(mut self, attempts: Vec<u64>) -> Self {
-        self.compaction_fail_attempts = attempts;
-        self
-    }
-
-    /// Fails the given 1-based snapshot-export write attempts.
-    pub fn with_snapshot_write_failures(mut self, attempts: Vec<u64>) -> Self {
-        self.snapshot_write_fail_attempts = attempts;
-        self
-    }
-
-    /// Fails the given 1-based archive segment-seal write attempts.
-    pub fn with_archive_seal_failures(mut self, attempts: Vec<u64>) -> Self {
-        self.archive_seal_fail_attempts = attempts;
-        self
-    }
-
-    /// Fails the given 1-based archive-expiry manifest write attempts.
-    pub fn with_expiry_failures(mut self, attempts: Vec<u64>) -> Self {
-        self.expiry_fail_attempts = attempts;
-        self
-    }
-
-    /// Poisons the given 1-based publisher-received snapshots.
-    pub fn with_poisoned_snapshots(mut self, ordinals: Vec<u64>) -> Self {
-        self.poison_snapshots = ordinals;
-        self
-    }
-
-    /// Injects a fixed delay into every publish.
+    /// Injects a fixed delay into every publish (a slow registry).
     pub fn with_publish_delay(mut self, delay: Duration) -> Self {
         self.publish_delay = Some(delay);
         self
     }
 
-    /// Tailer delivered `n` more items; true = panic now.
-    pub fn tick_tailer_items(&self, n: u64) -> bool {
-        crossed(
-            &self.items,
-            &self.items_idx,
-            &self.tailer_panic_after_items,
-            n,
-        )
+    /// The injected per-publish delay, if any.
+    pub fn publish_delay(&self) -> Option<Duration> {
+        self.publish_delay
     }
 
-    /// Trainer closed one more episode; true = panic now.
-    pub fn tick_trainer_episode(&self) -> bool {
-        crossed(
-            &self.episodes,
-            &self.episodes_idx,
-            &self.trainer_panic_after_episodes,
-            1,
-        )
+    /// One more `fault` event happened; true = inject the fault now.
+    pub fn tick(&self, fault: Fault) -> bool {
+        self.tick_by(fault, 1)
     }
 
-    /// Publisher is making one more attempt; true = this attempt fails.
-    pub fn tick_publish_attempt(&self) -> bool {
-        let attempt = self.attempts.fetch_add(1, Ordering::SeqCst) + 1;
-        self.publish_fail_attempts.contains(&attempt)
-    }
-
-    /// Publisher finished one more snapshot; true = panic now.
-    pub fn tick_publisher_snapshot(&self) -> bool {
-        crossed(
-            &self.snapshots,
-            &self.snapshots_idx,
-            &self.publisher_panic_after_snapshots,
-            1,
-        )
-    }
-
-    /// Trainer wrote one more journal; true = truncate that slot file.
-    pub fn tick_journal_write(&self) -> bool {
-        crossed(
-            &self.journal_writes,
-            &self.writes_idx,
-            &self.truncate_journal_after_writes,
-            1,
-        )
-    }
-
-    /// Trainer is attempting one more journal write; true = this attempt
-    /// gets a failing writer (the slot is left untouched).
-    pub fn tick_journal_attempt(&self) -> bool {
-        let attempt = self.journal_attempts.fetch_add(1, Ordering::SeqCst) + 1;
-        self.journal_write_fail_attempts.contains(&attempt)
-    }
-
-    /// Trainer is attempting one more log compaction; true = the rewrite
-    /// fails mid-write.
-    pub fn tick_compaction_attempt(&self) -> bool {
-        let attempt = self.compaction_attempts.fetch_add(1, Ordering::SeqCst) + 1;
-        self.compaction_fail_attempts.contains(&attempt)
-    }
-
-    /// Publisher is attempting one more snapshot export; true = the
-    /// write fails mid-stream.
-    pub fn tick_snapshot_write(&self) -> bool {
-        let attempt = self.snapshot_writes.fetch_add(1, Ordering::SeqCst) + 1;
-        self.snapshot_write_fail_attempts.contains(&attempt)
-    }
-
-    /// Trainer is attempting one more archive segment seal; true = the
-    /// segment write fails mid-stream.
-    pub fn tick_archive_seal_attempt(&self) -> bool {
-        let attempt = self.archive_seals.fetch_add(1, Ordering::SeqCst) + 1;
-        self.archive_seal_fail_attempts.contains(&attempt)
-    }
-
-    /// Trainer is attempting one more archive expiry; true = the
-    /// manifest commit fails mid-write.
-    pub fn tick_expiry_attempt(&self) -> bool {
-        let attempt = self.expiries.fetch_add(1, Ordering::SeqCst) + 1;
-        self.expiry_fail_attempts.contains(&attempt)
-    }
-
-    /// Publisher received one more snapshot; true = poison its bits
-    /// before any further handling.
-    pub fn tick_snapshot_poison(&self) -> bool {
-        let ordinal = self.received.fetch_add(1, Ordering::SeqCst) + 1;
-        self.poison_snapshots.contains(&ordinal)
+    /// `n` more `fault` events happened; true when the counter crossed
+    /// at least one threshold not yet consumed (each fires once).
+    pub fn tick_by(&self, fault: Fault, n: u64) -> bool {
+        let (at, fired) = (&self.at[fault as usize], &self.fired[fault as usize]);
+        let now = self.ticks[fault as usize].fetch_add(n, Ordering::SeqCst) + n;
+        let mut crossed = false;
+        loop {
+            let i = fired.load(Ordering::SeqCst);
+            match at.get(i) {
+                Some(&t) if t <= now => {
+                    if fired
+                        .compare_exchange(i, i + 1, Ordering::SeqCst, Ordering::SeqCst)
+                        .is_ok()
+                    {
+                        crossed = true;
+                    }
+                }
+                _ => return crossed,
+            }
+        }
     }
 }
 
@@ -266,29 +124,25 @@ mod tests {
 
     #[test]
     fn thresholds_fire_exactly_once_each() {
-        let plan = FaultPlan {
-            tailer_panic_after_items: vec![5, 12],
-            ..FaultPlan::none()
-        };
+        let plan = FaultPlan::none().with(Fault::TailerPanic, [12, 5]);
         let mut fires = 0;
         for _ in 0..10 {
-            if plan.tick_tailer_items(2) {
+            if plan.tick_by(Fault::TailerPanic, 2) {
                 fires += 1;
             }
         }
         assert_eq!(fires, 2, "each threshold fires exactly once");
-        assert!(!plan.tick_tailer_items(100));
+        assert!(!plan.tick_by(Fault::TailerPanic, 100));
     }
 
     #[test]
     fn publish_attempts_fail_by_ordinal() {
-        let plan = FaultPlan {
-            publish_fail_attempts: vec![1, 3],
-            ..FaultPlan::none()
-        };
-        assert!(plan.tick_publish_attempt());
-        assert!(!plan.tick_publish_attempt());
-        assert!(plan.tick_publish_attempt());
-        assert!(!plan.tick_publish_attempt());
+        let plan = FaultPlan::none().with(Fault::PublishAttempt, [1, 3]);
+        assert!(plan.tick(Fault::PublishAttempt));
+        assert!(!plan.tick(Fault::PublishAttempt));
+        assert!(plan.tick(Fault::PublishAttempt));
+        assert!(!plan.tick(Fault::PublishAttempt));
+        // Classes count independently.
+        assert!(!plan.tick(Fault::JournalWrite));
     }
 }

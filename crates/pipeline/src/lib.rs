@@ -52,11 +52,11 @@ pub mod soak;
 pub mod trace;
 
 pub use config::{pipeline_health_policy, PipelineConfig};
-pub use faults::FaultPlan;
+pub use faults::{Fault, FaultPlan};
 pub use journal::{Journal, JournalState, OpenItemState};
 pub use publish::{CountingSink, PublishSink, RegistrySink, Snapshot};
 pub use quality::{ProbeSet, QualityGate};
-pub use runner::{archive_path, ArchiveCounters, Pipeline, Reconciliation};
+pub use runner::{ArchiveCounters, Pipeline, Reconciliation};
 pub use soak::{run_soak, SoakConfig, SoakReport};
 pub use trace::{RecordFate, RecordTrace, TraceIndex};
 

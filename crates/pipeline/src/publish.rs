@@ -4,9 +4,11 @@
 //! capacity-1 `try_send` channel: if the publisher is still busy (slow
 //! registry, mid-backoff) the offer is simply dropped and counted — a
 //! fresher snapshot will come along, and training never waits on serving.
-//! Each accepted snapshot is pushed through a [`PublishSink`] with capped
-//! exponential backoff; exhausting the attempts abandons that snapshot
-//! (the registry keeps serving the last good version).
+//! Each accepted snapshot is pushed through a [`PublishSink`] with
+//! [`retry`] — the one capped-exponential-backoff loop every bounded
+//! disk/publish retry in the pipeline shares; exhausting the attempts
+//! abandons that snapshot (the registry keeps serving the last good
+//! version).
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -15,11 +17,11 @@ use std::time::Duration;
 
 use inf2vec_embed::EmbeddingStore;
 use inf2vec_serve::ModelRegistry;
-use inf2vec_util::error::Inf2vecError;
+use inf2vec_util::error::{DataError, Inf2vecError};
 use inf2vec_util::SharedClock;
 
 use crate::config::PipelineConfig;
-use crate::faults::FaultPlan;
+use crate::faults::{Fault, FaultPlan};
 
 /// One publishable model state, checksummed at capture time so the sink
 /// can verify the bits survived the channel crossing.
@@ -99,15 +101,41 @@ pub struct PublishCounters {
     /// Snapshots withheld by the quality gate (probe-score regression):
     /// never offered to the sink, last good version keeps serving.
     pub withheld: AtomicU64,
-    /// Snapshot offers dropped because the publisher was busy.
-    pub skipped: AtomicU64,
     /// Episode count of the newest successfully published snapshot
     /// (monotone via `fetch_max`) — the supervisor derives the publish-lag
     /// gauge from it.
     pub last_episodes: AtomicU64,
 }
 
-/// Publishes one snapshot with retry + capped exponential backoff.
+/// Runs `op` up to `attempts` times (at least once) and returns its first
+/// success, or `None` once every attempt failed. Between attempts it
+/// sleeps on `clock` a doubling backoff — `backoff`, `2 * backoff`, ... —
+/// with every sleep clamped to `cap` (`Duration::MAX` for none). Both
+/// closures see the 1-based attempt; `on_err` sees every failure.
+pub fn retry<T, E>(
+    clock: &SharedClock,
+    attempts: u32,
+    backoff: Duration,
+    cap: Duration,
+    mut op: impl FnMut(u32) -> Result<T, E>,
+    mut on_err: impl FnMut(u32, E),
+) -> Option<T> {
+    let attempts = attempts.max(1);
+    let mut sleep = backoff;
+    for attempt in 1..=attempts {
+        match op(attempt) {
+            Ok(v) => return Some(v),
+            Err(e) => on_err(attempt, e),
+        }
+        if attempt < attempts {
+            clock.sleep(sleep.min(cap));
+            sleep = sleep.saturating_mul(2);
+        }
+    }
+    None
+}
+
+/// Publishes one snapshot with [`retry`] under the publish backoff.
 /// Returns `true` on success. Never propagates an error upward — a dead
 /// registry degrades publication, not training.
 pub fn publish_with_retry(
@@ -118,65 +146,62 @@ pub fn publish_with_retry(
     faults: &FaultPlan,
     counters: &PublishCounters,
 ) -> bool {
-    if let Some(delay) = faults.publish_delay {
+    if let Some(delay) = faults.publish_delay() {
         clock.sleep(delay); // a slow registry
     }
-    let mut backoff = cfg.publish_backoff;
-    for attempt in 1..=cfg.publish_max_attempts.max(1) {
-        let started = std::time::Instant::now();
-        let injected = faults.tick_publish_attempt();
-        let result = if injected {
-            Err(Inf2vecError::Data(inf2vec_util::error::DataError::Invalid {
-                message: "injected publish failure".into(),
-            }))
-        } else {
-            sink.publish(snap)
-        };
-        match result {
-            Ok(version) => {
-                // Successful-install latency (the sink call alone, no
-                // backoff sleeps): the perf-trajectory file tracks its
-                // mean.
-                cfg.telemetry.observe(
-                    "inf2vec_pipeline_publish_seconds",
-                    started.elapsed().as_secs_f64(),
-                );
-                counters.ok.fetch_add(1, Ordering::SeqCst);
-                counters
-                    .last_episodes
-                    .fetch_max(snap.episodes, Ordering::SeqCst);
-                cfg.telemetry.count("inf2vec_pipeline_publish_ok_total", 1);
-                cfg.telemetry.emit_with(|| {
-                    inf2vec_obs::TraceCtx::for_publish(cfg.seed(), snap.episodes).stamp(
-                        inf2vec_obs::Event::new("pipeline.publish")
-                            .u64("version", version)
-                            .u64("episodes", snap.episodes)
-                            .u64("attempt", attempt as u64),
-                    )
-                });
-                return true;
-            }
-            Err(e) => {
-                cfg.telemetry
-                    .count("inf2vec_pipeline_publish_retry_total", 1);
-                cfg.telemetry.emit_with(|| {
-                    inf2vec_obs::TraceCtx::for_publish(cfg.seed(), snap.episodes).stamp(
-                        inf2vec_obs::Event::new("pipeline.publish_error")
-                            .u64("attempt", attempt as u64)
-                            .u64("episodes", snap.episodes)
-                            .str("error", e.to_string()),
-                    )
-                });
-                if attempt < cfg.publish_max_attempts.max(1) {
-                    clock.sleep(backoff);
-                    backoff = (backoff * 2).min(cfg.publish_backoff_cap);
-                }
-            }
-        }
-    }
-    counters.failed.fetch_add(1, Ordering::SeqCst);
-    cfg.telemetry.count("inf2vec_pipeline_publish_failed_total", 1);
-    false
+    let published = retry(
+        clock,
+        cfg.publish_max_attempts,
+        cfg.publish_backoff,
+        cfg.publish_backoff_cap,
+        |attempt| {
+            let started = std::time::Instant::now();
+            let version = if faults.tick(Fault::PublishAttempt) {
+                Err(Inf2vecError::Data(DataError::Invalid {
+                    message: "injected publish failure".into(),
+                }))
+            } else {
+                sink.publish(snap)
+            }?;
+            Ok((attempt, version, started.elapsed()))
+        },
+        |attempt, e: Inf2vecError| {
+            cfg.telemetry
+                .count("inf2vec_pipeline_publish_retry_total", 1);
+            cfg.telemetry.emit_with(|| {
+                inf2vec_obs::TraceCtx::for_publish(cfg.seed(), snap.episodes).stamp(
+                    inf2vec_obs::Event::new("pipeline.publish_error")
+                        .u64("attempt", attempt as u64)
+                        .u64("episodes", snap.episodes)
+                        .str("error", e.to_string()),
+                )
+            });
+        },
+    );
+    let Some((attempt, version, elapsed)) = published else {
+        counters.failed.fetch_add(1, Ordering::SeqCst);
+        cfg.telemetry
+            .count("inf2vec_pipeline_publish_failed_total", 1);
+        return false;
+    };
+    // Successful-install latency (the sink call alone, no backoff
+    // sleeps): the perf-trajectory file tracks its mean.
+    cfg.telemetry
+        .observe("inf2vec_pipeline_publish_seconds", elapsed.as_secs_f64());
+    counters.ok.fetch_add(1, Ordering::SeqCst);
+    counters
+        .last_episodes
+        .fetch_max(snap.episodes, Ordering::SeqCst);
+    cfg.telemetry.count("inf2vec_pipeline_publish_ok_total", 1);
+    cfg.telemetry.emit_with(|| {
+        inf2vec_obs::TraceCtx::for_publish(cfg.seed(), snap.episodes).stamp(
+            inf2vec_obs::Event::new("pipeline.publish")
+                .u64("version", version)
+                .u64("episodes", snap.episodes)
+                .u64("attempt", attempt as u64),
+        )
+    });
+    true
 }
 
 /// Mangles a snapshot's parameters and **recomputes its checksum**, so
@@ -232,17 +257,6 @@ pub fn export_snapshot(
     Ok(path)
 }
 
-/// Capped exponential backoff schedule (exposed for tests).
-pub fn backoff_schedule(base: Duration, cap: Duration, attempts: u32) -> Vec<Duration> {
-    let mut out = Vec::with_capacity(attempts as usize);
-    let mut b = base;
-    for _ in 0..attempts {
-        out.push(b.min(cap));
-        b = (b * 2).min(cap);
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -261,20 +275,65 @@ mod tests {
 
     #[test]
     fn backoff_doubles_and_caps() {
-        let s = backoff_schedule(
+        let (clock, manual) = ManualClock::shared();
+        let mut calls = Vec::new();
+        let got = retry(
+            &clock,
+            5,
             Duration::from_millis(10),
             Duration::from_millis(35),
-            4,
+            |attempt| {
+                calls.push(manual.now());
+                if attempt <= 4 {
+                    Err(attempt)
+                } else {
+                    Ok(attempt)
+                }
+            },
+            |_, _| {},
         );
-        assert_eq!(
-            s,
-            vec![
-                Duration::from_millis(10),
-                Duration::from_millis(20),
-                Duration::from_millis(35),
-                Duration::from_millis(35)
-            ]
+        assert_eq!(got, Some(5));
+        let sleeps: Vec<Duration> = calls.windows(2).map(|w| w[1] - w[0]).collect();
+        assert_eq!(sleeps, [10, 20, 35, 35].map(Duration::from_millis));
+
+        // `attempts = 0` still tries once, and a lone attempt never sleeps.
+        let before = manual.now();
+        let mut tried = 0;
+        let got = retry(
+            &clock,
+            0,
+            Duration::from_millis(10),
+            Duration::MAX,
+            |_| {
+                tried += 1;
+                Err::<(), _>(())
+            },
+            |_, _| {},
         );
+        assert_eq!((got, tried), (None, 1));
+        assert_eq!(manual.now(), before);
+    }
+
+    #[test]
+    fn first_publish_retry_respects_the_backoff_cap() {
+        let (clock, manual) = ManualClock::shared();
+        let cfg = PipelineConfig {
+            publish_backoff: Duration::from_millis(50),
+            publish_backoff_cap: Duration::from_millis(20),
+            ..PipelineConfig::default()
+        };
+        let faults = FaultPlan::none().with(Fault::PublishAttempt, [1]);
+        let counters = PublishCounters::default();
+        let before = manual.now();
+        assert!(publish_with_retry(
+            &CountingSink::new(),
+            &snap(),
+            &cfg,
+            &clock,
+            &faults,
+            &counters
+        ));
+        assert_eq!(manual.now() - before, Duration::from_millis(20));
     }
 
     #[test]
@@ -282,7 +341,7 @@ mod tests {
         let (clock, manual) = ManualClock::shared();
         let cfg = PipelineConfig::default();
         let sink = CountingSink::new();
-        let faults = FaultPlan::none().with_publish_failures(vec![1, 2]);
+        let faults = FaultPlan::none().with(Fault::PublishAttempt, [1, 2]);
         let counters = PublishCounters::default();
         let before = manual.now();
         assert!(publish_with_retry(
@@ -302,7 +361,7 @@ mod tests {
             ..PipelineConfig::default()
         };
         let sink = CountingSink::new();
-        let faults = FaultPlan::none().with_publish_failures(vec![1, 2]);
+        let faults = FaultPlan::none().with(Fault::PublishAttempt, [1, 2]);
         let counters = PublishCounters::default();
         assert!(!publish_with_retry(
             &sink, &snap(), &cfg, &clock, &faults, &counters

@@ -41,23 +41,26 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
 use std::sync::Arc;
 use std::thread::JoinHandle;
+use std::time::Duration;
 
 use inf2vec_diffusion::{Episode, ItemId};
 use inf2vec_embed::{EmbeddingStore, OnlineSgns};
 use inf2vec_graph::{DiGraph, NodeId};
 use inf2vec_ingest::{
-    compact_to_with, sentinel_base, ArchiveStore, LogTail, RetentionPolicy, TailItem, TailPosition,
+    archive_dir, compact_to_with, sentinel_base, ArchiveStore, LogTail, RetentionPolicy, TailItem,
+    TailPosition,
 };
-use inf2vec_obs::{Event, TraceCtx};
+use inf2vec_obs::{Event, Telemetry, TraceCtx};
 use inf2vec_serve::store_checksum;
 use inf2vec_util::error::{Inf2vecError, IngestError, PipelineError};
 use inf2vec_util::{system_clock, FxHashMap, SharedClock};
 
 use crate::config::PipelineConfig;
-use crate::faults::FaultPlan;
+use crate::faults::{Fault, FaultPlan};
 use crate::journal::{self, check_shape, Journal, JournalState, OpenItemState};
 use crate::publish::{
-    export_snapshot, poison_snapshot, publish_with_retry, PublishCounters, PublishSink, Snapshot,
+    export_snapshot, poison_snapshot, publish_with_retry, retry, PublishCounters, PublishSink,
+    Snapshot,
 };
 use crate::quality::{ProbeSet, QualityGate};
 
@@ -328,7 +331,7 @@ impl Trainer {
         // The injected panic fires *before* the model mutates: the
         // journal still describes the pre-episode state, and replay
         // closes this episode again, this time applying it.
-        if faults.tick_trainer_episode() {
+        if faults.tick(Fault::TrainerPanic) {
             panic!("injected trainer panic at episode close (item {item})");
         }
         let mut acts: Vec<(u64, u64, u32)> =
@@ -413,8 +416,8 @@ impl Reconciliation {
 /// [`Pipeline::archive_counters`]). Every byte that leaves the
 /// retained-history window lands in exactly one of `bytes_reclaimed`
 /// (expired under the retention policy) or `bytes_dropped` (degraded
-/// past — seal retries exhausted, or archiving disabled), so summing
-/// both across incarnations equals the archive's expired-prefix offset.
+/// past — seal retries exhausted), so summing both across incarnations
+/// equals the archive's expired-prefix offset.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ArchiveCounters {
     /// Segments sealed into the archive store.
@@ -455,8 +458,8 @@ pub struct Pipeline {
     /// Compactions performed by this incarnation.
     compactions: u64,
     /// The segmented archive store, opened lazily at the first
-    /// compaction that needs it (`archive_compacted` only). An open
-    /// failure degrades: counted, retried at the next boundary.
+    /// compaction. An open failure degrades: counted, retried at the
+    /// next boundary.
     archive: Option<ArchiveStore>,
     /// Per-incarnation archive accounting.
     archive_counters: ArchiveCounters,
@@ -765,33 +768,27 @@ impl Pipeline {
     /// only disk-level write failures degrade.
     fn write_journal(&mut self) -> Result<(), Inf2vecError> {
         let state = self.trainer.to_state(self.round);
-        let max_attempts = self.cfg.disk_max_attempts.max(1);
-        let mut backoff = self.cfg.disk_retry_backoff;
-        let mut written = None;
-        for attempt in 1..=max_attempts {
-            let inject = self.faults.tick_journal_attempt().then_some(64);
-            match self.journal.write_with(&state, inject) {
-                Ok(path) => {
-                    written = Some(path);
-                    break;
-                }
-                Err(e) => {
-                    self.cfg
-                        .telemetry
-                        .count("inf2vec_pipeline_journal_write_errors_total", 1);
-                    self.cfg.telemetry.emit(
-                        Event::new("pipeline.journal_write_error")
-                            .u64("round", state.round)
-                            .u64("attempt", attempt as u64)
-                            .str("error", e.to_string()),
-                    );
-                    if attempt < max_attempts {
-                        self.clock.sleep(backoff);
-                        backoff *= 2;
-                    }
-                }
-            }
-        }
+        let written = retry(
+            &self.clock,
+            self.cfg.disk_max_attempts,
+            self.cfg.disk_retry_backoff,
+            Duration::MAX,
+            |_| {
+                let inject = self.faults.tick(Fault::JournalWrite).then_some(64);
+                self.journal.write_with(&state, inject)
+            },
+            |attempt, e| {
+                self.cfg
+                    .telemetry
+                    .count("inf2vec_pipeline_journal_write_errors_total", 1);
+                self.cfg.telemetry.emit(
+                    Event::new("pipeline.journal_write_error")
+                        .u64("round", state.round)
+                        .u64("attempt", attempt as u64)
+                        .str("error", e.to_string()),
+                );
+            },
+        );
         let Some(path) = written else {
             // All attempts failed: skip this commit, keep training.
             self.dump_flight_postmortem("journal_write_failed");
@@ -806,7 +803,7 @@ impl Pipeline {
         self.cfg
             .telemetry
             .count("inf2vec_pipeline_journal_writes_total", 1);
-        if self.faults.tick_journal_write() {
+        if self.faults.tick(Fault::JournalTruncate) {
             // Torn-write injection: shear the tail off the slot that was
             // just written; recovery must fall back to the other slot.
             journal::truncate_tail(&path, 32).ok();
@@ -828,8 +825,7 @@ impl Pipeline {
     /// recoverable journal can still resume. Failures degrade: counted,
     /// flight-dumped, retried at the next journal boundary.
     ///
-    /// With [`PipelineConfig::archive_compacted`] set, each boundary is
-    /// three steps in a crash-safe order:
+    /// Each boundary is three steps in a crash-safe order:
     ///
     /// 1. **seal** the doomed prefix into the segmented archive store
     ///    (idempotent, so a crash before step 2 re-seals nothing);
@@ -839,8 +835,8 @@ impl Pipeline {
     ///    (manifest-before-delete, floored at the compaction bound so
     ///    the journal replay window always stays restorable).
     ///
-    /// A seal whose bounded retry chain exhausts degrades like the
-    /// `archive_compacted=false` path: the prefix is dropped, counted in
+    /// A seal whose bounded retry chain exhausts degrades: the rewrite
+    /// still drops the prefix, every lost byte is counted in
     /// `inf2vec_pipeline_archive_dropped_bytes_total`, and the archive
     /// rebases over the hole so the *suffix* stays restorable.
     fn maybe_compact(&mut self) {
@@ -860,8 +856,8 @@ impl Pipeline {
         if live <= budget {
             return;
         }
-        let sealed_ok = !self.cfg.archive_compacted || self.seal_archive(compact_to);
-        let inject = self.faults.tick_compaction_attempt().then_some(48);
+        let sealed_ok = self.seal_archive(compact_to);
+        let inject = self.faults.tick(Fault::Compaction).then_some(48);
         match compact_to_with(&self.log_path, compact_to, None, inject) {
             Ok(stats) => {
                 self.compactions += 1;
@@ -877,23 +873,11 @@ impl Pipeline {
                         .u64("dropped", stats.dropped_bytes)
                         .u64("live", stats.live_bytes),
                 );
-                if self.cfg.archive_compacted {
-                    if !sealed_ok {
-                        // The rewrite dropped bytes the archive never
-                        // got: rebase over the hole so the suffix stays
-                        // restorable, and account every lost byte.
-                        self.archive_gap(compact_to);
-                    }
-                    self.expire_archive(compact_to);
-                } else if stats.dropped_bytes > 0 {
-                    // Archiving off: the prefix is gone by design, but
-                    // never silently.
-                    self.archive_counters.bytes_dropped += stats.dropped_bytes;
-                    self.cfg.telemetry.count(
-                        "inf2vec_pipeline_archive_dropped_bytes_total",
-                        stats.dropped_bytes,
-                    );
+                if !sealed_ok {
+                    // The rewrite dropped bytes the archive never got.
+                    self.rebase_archive(compact_to);
                 }
+                self.expire_archive(compact_to);
                 self.publish_archive_gauges();
             }
             Err(e) => {
@@ -909,121 +893,84 @@ impl Pipeline {
         }
     }
 
-    /// Step 1 of an archiving compaction: open the store if needed and
-    /// seal the about-to-be-dropped prefix, with bounded disk-fault
-    /// retry. Returns `false` when the prefix could not be made durable
-    /// (the caller then degrades to drop-with-counter).
+    /// Step 1 of a compaction: open the store if needed and seal the
+    /// about-to-be-dropped prefix with [`retry`]. Returns `false` when
+    /// the prefix could not be made durable (the caller then degrades to
+    /// drop-with-counter).
     fn seal_archive(&mut self, upto: TailPosition) -> bool {
         let now_ms = self.clock.now().as_millis() as u64;
         if self.archive.is_none() {
-            match ArchiveStore::open_for_log(&self.log_path, now_ms) {
+            match ArchiveStore::open(archive_dir(&self.log_path)) {
                 Ok(store) => self.archive = Some(store),
                 Err(e) => {
-                    self.cfg
-                        .telemetry
-                        .count("inf2vec_pipeline_archive_seal_errors_total", 1);
-                    self.cfg.telemetry.emit(
-                        Event::new("pipeline.archive_error")
-                            .str("op", "open")
-                            .str("error", e.to_string()),
-                    );
+                    archive_error(&self.cfg.telemetry, SEAL_ERRORS, "open", None, e);
                     return false;
                 }
             }
         }
-        let store = self.archive.as_mut().expect("store just opened");
         // A previous incarnation degraded (dropped bytes unarchived) and
         // died before rebasing: the live log starts past the archive
         // end. Finish the rebase so this seal lands contiguously.
+        let end = self.archive.as_ref().map_or(0, ArchiveStore::end_offset);
         if let Ok(Some((base, lines))) = sentinel_base(&self.log_path) {
-            if base > store.end_offset() {
-                let lost = base - store.start().offset;
-                match store.rebase_to(
-                    TailPosition {
-                        offset: base,
-                        line_no: lines,
-                    },
-                    None,
-                ) {
-                    Ok(_) => {
-                        self.archive_counters.bytes_dropped += lost;
-                        self.cfg
-                            .telemetry
-                            .count("inf2vec_pipeline_archive_dropped_bytes_total", lost);
-                        self.cfg.telemetry.emit(
-                            Event::new("pipeline.archive_rebase")
-                                .u64("offset", base)
-                                .u64("lost", lost),
-                        );
-                    }
-                    Err(e) => {
-                        self.cfg
-                            .telemetry
-                            .count("inf2vec_pipeline_archive_seal_errors_total", 1);
-                        self.cfg.telemetry.emit(
-                            Event::new("pipeline.archive_error")
-                                .str("op", "rebase")
-                                .str("error", e.to_string()),
-                        );
-                        return false;
-                    }
-                }
+            if base > end
+                && !self.rebase_archive(TailPosition {
+                    offset: base,
+                    line_no: lines,
+                })
+            {
+                return false;
             }
         }
-        let max_attempts = self.cfg.disk_max_attempts.max(1);
-        let mut backoff = self.cfg.disk_retry_backoff;
-        for attempt in 1..=max_attempts {
-            let inject = self.faults.tick_archive_seal_attempt().then_some(48);
-            match store.seal_from_log(&self.log_path, upto, now_ms, inject) {
-                Ok(0) => return true, // already durable (idempotent retry)
-                Ok(bytes) => {
-                    self.archive_counters.segments_sealed += 1;
-                    self.archive_counters.bytes_sealed += bytes;
-                    self.cfg
-                        .telemetry
-                        .count("inf2vec_pipeline_archive_seals_total", 1);
-                    self.cfg
-                        .telemetry
-                        .count("inf2vec_pipeline_archive_sealed_bytes_total", bytes);
-                    self.cfg.telemetry.emit(
-                        Event::new("pipeline.archive_seal")
-                            .u64("seq", store.segments().last().map_or(0, |s| s.seq))
-                            .u64("bytes", bytes)
-                            .u64("end", store.end_offset()),
-                    );
-                    return true;
-                }
-                Err(e) => {
-                    self.cfg
-                        .telemetry
-                        .count("inf2vec_pipeline_archive_seal_errors_total", 1);
-                    self.cfg.telemetry.emit(
-                        Event::new("pipeline.archive_error")
-                            .str("op", "seal")
-                            .u64("attempt", attempt as u64)
-                            .str("error", e.to_string()),
-                    );
-                    if attempt < max_attempts {
-                        self.clock.sleep(backoff);
-                        backoff *= 2;
-                    }
-                }
+        let store = self.archive.as_mut().expect("store just opened");
+        let sealed = retry(
+            &self.clock,
+            self.cfg.disk_max_attempts,
+            self.cfg.disk_retry_backoff,
+            Duration::MAX,
+            |_| {
+                let inject = self.faults.tick(Fault::ArchiveSeal).then_some(48);
+                store.seal_from_log(&self.log_path, upto, now_ms, inject)
+            },
+            |attempt, e| archive_error(&self.cfg.telemetry, SEAL_ERRORS, "seal", Some(attempt), e),
+        );
+        match sealed {
+            Some(0) => true, // already durable (idempotent retry)
+            Some(bytes) => {
+                self.archive_counters.segments_sealed += 1;
+                self.archive_counters.bytes_sealed += bytes;
+                self.cfg
+                    .telemetry
+                    .count("inf2vec_pipeline_archive_seals_total", 1);
+                self.cfg
+                    .telemetry
+                    .count("inf2vec_pipeline_archive_sealed_bytes_total", bytes);
+                self.cfg.telemetry.emit(
+                    Event::new("pipeline.archive_seal")
+                        .u64("seq", store.segments().last().map_or(0, |s| s.seq))
+                        .u64("bytes", bytes)
+                        .u64("end", store.end_offset()),
+                );
+                true
+            }
+            None => {
+                self.dump_flight_postmortem("archive_seal_failed");
+                false
             }
         }
-        self.dump_flight_postmortem("archive_seal_failed");
-        false
     }
 
-    /// Degrade path: the live rewrite dropped `[start, compact_to)` but
-    /// the seal never made it durable. Rebase the archive boundary to
-    /// the new live base and count every byte that left the
-    /// retained-history window.
-    fn archive_gap(&mut self, compact_to: TailPosition) {
+    /// Degrade path: the live log lost `[archive start, to)` without the
+    /// archive holding it. Rebase the archive boundary to `to` and count
+    /// every byte that left the retained-history window. A failed rebase
+    /// manifest leaves the store as is and returns `false`; the next
+    /// seal (or the next incarnation's) finishes the rebase.
+    fn rebase_archive(&mut self, to: TailPosition) -> bool {
         let Some(store) = self.archive.as_mut() else {
-            return;
+            return false;
         };
-        let lost = compact_to.offset.saturating_sub(store.start().offset);
-        match store.rebase_to(compact_to, None) {
+        let lost = to.offset.saturating_sub(store.start().offset);
+        match store.rebase_to(to, None) {
             Ok(_) => {
                 self.archive_counters.bytes_dropped += lost;
                 self.cfg
@@ -1031,29 +978,21 @@ impl Pipeline {
                     .count("inf2vec_pipeline_archive_dropped_bytes_total", lost);
                 self.cfg.telemetry.emit(
                     Event::new("pipeline.archive_rebase")
-                        .u64("offset", compact_to.offset)
+                        .u64("offset", to.offset)
                         .u64("lost", lost),
                 );
+                true
             }
             Err(e) => {
-                // Even the rebase manifest failed: leave the store as
-                // is; the next incarnation's open (or the next seal's
-                // pre-check) finishes the rebase.
-                self.cfg
-                    .telemetry
-                    .count("inf2vec_pipeline_archive_seal_errors_total", 1);
-                self.cfg.telemetry.emit(
-                    Event::new("pipeline.archive_error")
-                        .str("op", "rebase")
-                        .str("error", e.to_string()),
-                );
+                archive_error(&self.cfg.telemetry, SEAL_ERRORS, "rebase", None, e);
+                false
             }
         }
     }
 
-    /// Step 3 of an archiving compaction: expire segments over the
-    /// retention budgets, floored at the compaction bound (nothing in
-    /// the journal replay window is deletable). Bounded retry against
+    /// Step 3 of a compaction: expire segments over the retention
+    /// budgets, floored at the compaction bound (nothing in the journal
+    /// replay window is deletable), with [`retry`] against
     /// manifest-write faults; exhaustion degrades — the segments stay,
     /// the next boundary retries.
     fn expire_archive(&mut self, floor: TailPosition) {
@@ -1069,50 +1008,42 @@ impl Pipeline {
             return;
         };
         let now_ms = self.clock.now().as_millis() as u64;
-        let max_attempts = self.cfg.disk_max_attempts.max(1);
-        let mut backoff = self.cfg.disk_retry_backoff;
-        for attempt in 1..=max_attempts {
-            let inject = self.faults.tick_expiry_attempt().then_some(48);
-            match store.expire(&policy, floor.offset, now_ms, inject) {
-                Ok(stats) => {
-                    if stats.segments > 0 {
-                        self.archive_counters.segments_expired += stats.segments;
-                        self.archive_counters.bytes_reclaimed += stats.bytes;
-                        self.cfg.telemetry.count(
-                            "inf2vec_pipeline_archive_expired_segments_total",
-                            stats.segments,
-                        );
-                        self.cfg.telemetry.count(
-                            "inf2vec_pipeline_archive_reclaimed_bytes_total",
-                            stats.bytes,
-                        );
-                        self.cfg.telemetry.emit(
-                            Event::new("pipeline.archive_expiry")
-                                .u64("segments", stats.segments)
-                                .u64("bytes", stats.bytes)
-                                .u64("start", store.start().offset),
-                        );
-                    }
-                    return;
-                }
-                Err(e) => {
-                    self.cfg
-                        .telemetry
-                        .count("inf2vec_pipeline_archive_expiry_errors_total", 1);
-                    self.cfg.telemetry.emit(
-                        Event::new("pipeline.archive_error")
-                            .str("op", "expire")
-                            .u64("attempt", attempt as u64)
-                            .str("error", e.to_string()),
-                    );
-                    if attempt < max_attempts {
-                        self.clock.sleep(backoff);
-                        backoff *= 2;
-                    }
-                }
+        let expired = retry(
+            &self.clock,
+            self.cfg.disk_max_attempts,
+            self.cfg.disk_retry_backoff,
+            Duration::MAX,
+            |_| {
+                let inject = self.faults.tick(Fault::ArchiveExpiry).then_some(48);
+                store.expire(&policy, floor.offset, now_ms, inject)
+            },
+            |attempt, e| {
+                let errors = "inf2vec_pipeline_archive_expiry_errors_total";
+                archive_error(&self.cfg.telemetry, errors, "expire", Some(attempt), e);
+            },
+        );
+        match expired {
+            Some(stats) if stats.segments > 0 => {
+                self.archive_counters.segments_expired += stats.segments;
+                self.archive_counters.bytes_reclaimed += stats.bytes;
+                self.cfg.telemetry.count(
+                    "inf2vec_pipeline_archive_expired_segments_total",
+                    stats.segments,
+                );
+                self.cfg.telemetry.count(
+                    "inf2vec_pipeline_archive_reclaimed_bytes_total",
+                    stats.bytes,
+                );
+                self.cfg.telemetry.emit(
+                    Event::new("pipeline.archive_expiry")
+                        .u64("segments", stats.segments)
+                        .u64("bytes", stats.bytes)
+                        .u64("start", store.start().offset),
+                );
             }
+            Some(_) => {}
+            None => self.dump_flight_postmortem("archive_expiry_failed"),
         }
-        self.dump_flight_postmortem("archive_expiry_failed");
     }
 
     /// Publishes the archive occupancy gauges (no-op before the store
@@ -1188,7 +1119,7 @@ impl Pipeline {
                     }
                     // Fires before the send: a panicked tailer never
                     // delivered the batch, so the respawn re-reads it.
-                    if faults.tick_tailer_items(items.len() as u64) {
+                    if faults.tick_by(Fault::TailerPanic, items.len() as u64) {
                         panic!("injected tailer panic");
                     }
                     let pos_after = tail.position();
@@ -1220,7 +1151,7 @@ impl Pipeline {
             .name("inf2vec-publish".into())
             .spawn(move || {
                 for mut snap in rx.iter() {
-                    if faults.tick_snapshot_poison() {
+                    if faults.tick(Fault::PoisonSnapshot) {
                         // Bits mangled, checksum recomputed: integrity
                         // verification passes, only the gate can catch it.
                         poison_snapshot(&mut snap);
@@ -1252,7 +1183,7 @@ impl Pipeline {
                     // Fires after the snapshot settled (counted ok,
                     // failed, or withheld); only the thread dies, not the
                     // accounting.
-                    if faults.tick_publisher_snapshot() {
+                    if faults.tick(Fault::PublisherPanic) {
                         panic!("injected publisher panic");
                     }
                 }
@@ -1417,7 +1348,7 @@ impl Pipeline {
     }
 
     /// The segmented archive store, once a compaction has opened it
-    /// (`None` until then, and always under `archive_compacted=false`).
+    /// (`None` until then).
     pub fn archive_store(&self) -> Option<&ArchiveStore> {
         self.archive.as_ref()
     }
@@ -1437,16 +1368,6 @@ impl Pipeline {
     pub fn model_rows(&self) -> usize {
         self.trainer.online.store().len()
     }
-}
-
-/// `<log>.archive` beside the live log — the **legacy** monolithic
-/// archive file from before the segmented store. Compaction no longer
-/// writes it; [`ArchiveStore::open_for_log`] imports and removes one on
-/// first use. Kept for tooling that needs to name the legacy file.
-pub fn archive_path(log_path: &std::path::Path) -> PathBuf {
-    let mut os = log_path.as_os_str().to_os_string();
-    os.push(".archive");
-    PathBuf::from(os)
 }
 
 /// Quality-gate admission (publisher thread). Returns `true` when the
@@ -1486,38 +1407,55 @@ fn publish_admitted(
     admitted
 }
 
-/// Post-publish snapshot export with bounded retry (publisher thread).
+/// Post-publish snapshot export with [`retry`] (publisher thread).
 /// Export failures degrade — the registry already holds the model; only
 /// the on-disk copy is stale until the next publish.
 fn maybe_export(snap: &Snapshot, cfg: &PipelineConfig, clock: &SharedClock, faults: &FaultPlan) {
     let Some(dir) = cfg.snapshot_dir.as_deref() else {
         return;
     };
-    let mut backoff = cfg.disk_retry_backoff;
-    for attempt in 1..=cfg.disk_max_attempts.max(1) {
-        let inject = faults.tick_snapshot_write().then_some(48);
-        match export_snapshot(dir, snap, inject) {
-            Ok(_) => {
-                cfg.telemetry
-                    .count("inf2vec_pipeline_snapshot_exports_total", 1);
-                return;
-            }
-            Err(e) => {
-                cfg.telemetry
-                    .count("inf2vec_pipeline_snapshot_export_errors_total", 1);
-                cfg.telemetry.emit(
-                    Event::new("pipeline.snapshot_export_error")
-                        .u64("episodes", snap.episodes)
-                        .u64("attempt", attempt as u64)
-                        .str("error", e.to_string()),
-                );
-                if attempt < cfg.disk_max_attempts.max(1) {
-                    clock.sleep(backoff);
-                    backoff *= 2;
-                }
-            }
-        }
+    let exported = retry(
+        clock,
+        cfg.disk_max_attempts,
+        cfg.disk_retry_backoff,
+        Duration::MAX,
+        |_| export_snapshot(dir, snap, faults.tick(Fault::SnapshotWrite).then_some(48)),
+        |attempt, e| {
+            cfg.telemetry
+                .count("inf2vec_pipeline_snapshot_export_errors_total", 1);
+            cfg.telemetry.emit(
+                Event::new("pipeline.snapshot_export_error")
+                    .u64("episodes", snap.episodes)
+                    .u64("attempt", attempt as u64)
+                    .str("error", e.to_string()),
+            );
+        },
+    );
+    if exported.is_some() {
+        cfg.telemetry
+            .count("inf2vec_pipeline_snapshot_exports_total", 1);
     }
+}
+
+/// Archive failures that count against the seal: the store open, the
+/// rebase manifest and the segment write.
+const SEAL_ERRORS: &str = "inf2vec_pipeline_archive_seal_errors_total";
+
+/// Counts one failed archive-store operation under `counter` and emits
+/// its `pipeline.archive_error` event (with the attempt, when retried).
+fn archive_error(
+    telemetry: &Telemetry,
+    counter: &str,
+    op: &str,
+    attempt: Option<u32>,
+    e: std::io::Error,
+) {
+    telemetry.count(counter, 1);
+    let mut event = Event::new("pipeline.archive_error").str("op", op);
+    if let Some(attempt) = attempt {
+        event = event.u64("attempt", attempt as u64);
+    }
+    telemetry.emit(event.str("error", e.to_string()));
 }
 
 fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
@@ -1587,11 +1525,12 @@ mod tests {
     fn run_once(
         dir: &std::path::Path,
         log: &std::path::Path,
+        cfg: PipelineConfig,
         faults: Arc<FaultPlan>,
     ) -> (Reconciliation, u64) {
         let sink = Arc::new(CountingSink::new());
         let mut p = Pipeline::with_runtime(
-            small_cfg(),
+            cfg,
             log,
             dir.join("journal"),
             ring_graph(6),
@@ -1613,7 +1552,7 @@ mod tests {
         let dir = tmp_dir("runner-basic");
         let log = dir.join("actions.log");
         let (good, bad) = write_log(&log, 4, 6);
-        let (r, _) = run_once(&dir, &log, Arc::new(FaultPlan::none()));
+        let (r, _) = run_once(&dir, &log, small_cfg(), Arc::new(FaultPlan::none()));
         assert!(r.balances(good, bad), "ledger must balance: {r:?}");
         assert_eq!(r.records_pending, 0, "drain closed everything");
         assert!(r.episodes_applied >= 4, "every item closed: {r:?}");
@@ -1625,15 +1564,20 @@ mod tests {
         let dir_a = tmp_dir("runner-faulty");
         let log_a = dir_a.join("actions.log");
         let (good, bad) = write_log(&log_a, 4, 6);
-        let faults = Arc::new(FaultPlan::none().with_tailer_panics(vec![5]).with_trainer_panics(vec![1, 3]).with_journal_truncations(vec![2]));
-        let (r, sum_faulty) = run_once(&dir_a, &log_a, faults);
+        let faults = Arc::new(
+            FaultPlan::none()
+                .with(Fault::TailerPanic, [5])
+                .with(Fault::TrainerPanic, [1, 3])
+                .with(Fault::JournalTruncate, [2]),
+        );
+        let (r, sum_faulty) = run_once(&dir_a, &log_a, small_cfg(), faults);
         assert!(r.balances(good, bad), "faulty run still balances: {r:?}");
         assert!(r.restarts.0 >= 1 && r.restarts.1 >= 1, "faults fired: {r:?}");
 
         let dir_b = tmp_dir("runner-clean");
         let log_b = dir_b.join("actions.log");
         write_log(&log_b, 4, 6);
-        let (_, sum_clean) = run_once(&dir_b, &log_b, Arc::new(FaultPlan::none()));
+        let (_, sum_clean) = run_once(&dir_b, &log_b, small_cfg(), Arc::new(FaultPlan::none()));
         assert_eq!(
             sum_faulty, sum_clean,
             "crash/replay must be bit-identical to the uninterrupted run"
@@ -1681,7 +1625,7 @@ mod tests {
         let dir_c = tmp_dir("runner-oneshot");
         let log_c = dir_c.join("actions.log");
         write_log(&log_c, 4, 6);
-        let (_, sum_clean) = run_once(&dir_c, &log_c, Arc::new(FaultPlan::none()));
+        let (_, sum_clean) = run_once(&dir_c, &log_c, small_cfg(), Arc::new(FaultPlan::none()));
         assert_eq!(r.store_checksum, sum_clean, "resume is bit-identical");
     }
 
@@ -1695,7 +1639,6 @@ mod tests {
         let (good, bad) = write_log(&log, 6, 6);
         let cfg = PipelineConfig {
             log_budget_bytes: 256,
-            archive_compacted: true,
             archive_max_segments: 2,
             ..small_cfg()
         };
@@ -1733,9 +1676,9 @@ mod tests {
         assert_eq!(stats.start_offset, store.start().offset);
     }
 
-    /// An exhausted seal retry chain degrades exactly like
-    /// `archive_compacted=false`: the prefix is dropped and counted, the
-    /// archive rebases over the hole, and the suffix stays restorable.
+    /// An exhausted seal retry chain degrades to a counted drop: the
+    /// prefix is dropped and counted, the archive rebases over the hole,
+    /// and the suffix stays restorable.
     #[test]
     fn seal_exhaustion_degrades_to_counted_drop() {
         let dir = tmp_dir("runner-sealdrop");
@@ -1743,13 +1686,12 @@ mod tests {
         write_log(&log, 6, 6);
         let cfg = PipelineConfig {
             log_budget_bytes: 256,
-            archive_compacted: true,
             disk_max_attempts: 2,
             ..small_cfg()
         };
         // Enough consecutive seal faults to exhaust the first boundary's
         // whole retry chain; later boundaries seal normally.
-        let faults = Arc::new(FaultPlan::none().with_archive_seal_failures(vec![1, 2]));
+        let faults = Arc::new(FaultPlan::none().with(Fault::ArchiveSeal, [1, 2]));
         let mut p = Pipeline::with_runtime(
             cfg,
             &log,
@@ -1772,6 +1714,90 @@ mod tests {
         store.restore_to(&log, &dir.join("restored.log")).unwrap();
     }
 
+    /// One full run of `small_cfg()` with metrics on and snapshots
+    /// exported, adjusted by `tweak`, over a 6-item log whose first
+    /// `failures` attempts at `site` fail.
+    fn run_counted(
+        tweak: fn(&mut PipelineConfig),
+        site: Fault,
+        failures: u64,
+    ) -> (Reconciliation, inf2vec_obs::Snapshot) {
+        let dir = tmp_dir("runner-retry");
+        let log = dir.join("actions.log");
+        write_log(&log, 6, 6);
+        let mut cfg = PipelineConfig {
+            telemetry: inf2vec_obs::Telemetry::with_registry(),
+            snapshot_dir: Some(dir.join("snapshots")),
+            ..small_cfg()
+        };
+        tweak(&mut cfg);
+        let telemetry = cfg.telemetry.clone();
+        let faults = Arc::new(FaultPlan::none().with(site, 1..=failures));
+        (run_once(&dir, &log, cfg, faults).0, telemetry.snapshot())
+    }
+
+    /// Every bounded-retry site counts each failed attempt exactly once
+    /// and degrades exactly as documented once its chain is exhausted.
+    #[test]
+    fn every_retry_site_counts_and_degrades_exactly() {
+        let disk = u64::from(small_cfg().disk_max_attempts);
+        let publish = u64::from(small_cfg().publish_max_attempts);
+        let plain: fn(&mut PipelineConfig) = |_| {};
+        let archived: fn(&mut PipelineConfig) = |c| {
+            c.log_budget_bytes = 256;
+            c.archive_max_segments = 1;
+        };
+        let clean = run_counted(plain, Fault::JournalWrite, 0).0.store_checksum;
+        for (site, failures, tweak) in [
+            (Fault::JournalWrite, 1, plain),
+            (Fault::JournalWrite, disk, plain),
+            (Fault::ArchiveSeal, 1, archived),
+            (Fault::ArchiveExpiry, 1000, archived),
+            (Fault::SnapshotWrite, disk, plain),
+            (Fault::PublishAttempt, publish, plain),
+        ] {
+            let (rec, metrics) = run_counted(tweak, site, failures);
+            let count =
+                |name: &str| metrics.counter_value(&format!("inf2vec_pipeline_{name}_total"), &[]);
+            let dumps = |reason: &str| {
+                let labels = [("reason", reason)];
+                metrics.counter_value("inf2vec_pipeline_flight_dumps_total", &labels)
+            };
+            match site {
+                Fault::JournalWrite => {
+                    let skipped = u64::from(failures == disk);
+                    assert_eq!(count("journal_write_errors"), failures);
+                    assert_eq!(count("journal_writes_skipped"), skipped);
+                    assert_eq!(dumps("journal_write_failed"), skipped);
+                    assert_eq!(rec.store_checksum, clean, "a skipped commit changes no bit");
+                }
+                Fault::ArchiveSeal => {
+                    assert_eq!(count("archive_seal_errors"), failures);
+                    assert_eq!(count("archive_dropped_bytes"), 0);
+                    assert_eq!(dumps("archive_seal_failed"), 0);
+                }
+                // `expire` returns without writing when nothing is
+                // eligible, so a fault scheduled on that attempt is used
+                // up without firing: every attempt fails, yet errors come
+                // in whole chains.
+                Fault::ArchiveExpiry => {
+                    let errors = count("archive_expiry_errors");
+                    assert!(errors > 0 && errors % disk == 0, "{errors} expiry errors");
+                    assert_eq!(count("archive_expired_segments"), 0);
+                    assert_eq!(dumps("archive_expiry_failed"), errors / disk);
+                }
+                Fault::SnapshotWrite => {
+                    assert_eq!(count("snapshot_export_errors"), failures);
+                    assert_eq!(count("snapshot_exports"), rec.publishes_ok - 1);
+                }
+                _ => {
+                    assert_eq!(count("publish_retry"), failures);
+                    assert_eq!(rec.publishes_failed, 1);
+                }
+            }
+        }
+    }
+
     #[test]
     fn trainer_budget_exhaustion_is_typed() {
         let dir = tmp_dir("runner-budget");
@@ -1781,7 +1807,7 @@ mod tests {
             restart_budget: 1,
             ..small_cfg()
         };
-        let faults = Arc::new(FaultPlan::none().with_trainer_panics(vec![1, 2, 3, 4, 5, 6, 7, 8]));
+        let faults = Arc::new(FaultPlan::none().with(Fault::TrainerPanic, 1..=8));
         let mut p = Pipeline::with_runtime(
             cfg,
             &log,

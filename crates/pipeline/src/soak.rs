@@ -37,9 +37,9 @@ use inf2vec_util::rng::Xoshiro256pp;
 use inf2vec_util::{split_seed, system_clock};
 
 use crate::config::PipelineConfig;
-use crate::faults::FaultPlan;
+use crate::faults::{Fault, FaultPlan};
 use crate::publish::RegistrySink;
-use crate::runner::{archive_path, ArchiveCounters, Pipeline, Reconciliation};
+use crate::runner::{ArchiveCounters, Pipeline, Reconciliation};
 
 /// Soak shape. Defaults give a few seconds of work — CI-sized.
 #[derive(Debug, Clone)]
@@ -466,25 +466,25 @@ fn fault_plan_for(cycle: u32) -> Arc<FaultPlan> {
         // Exhausting the first snapshot's whole retry chain (default
         // publish_max_attempts = 4) proves graceful degradation.
         0 => FaultPlan::none()
-            .with_tailer_panics(vec![20])
-            .with_publish_failures(vec![1, 2, 3, 4]),
+            .with(Fault::TailerPanic, [20])
+            .with(Fault::PublishAttempt, [1, 2, 3, 4]),
         // A transient journal disk fault (attempt 3 fails, the in-place
         // retry succeeds) on top of trainer panics and a torn slot.
         1 => FaultPlan::none()
-            .with_trainer_panics(vec![1, 3])
-            .with_journal_truncations(vec![2])
-            .with_journal_write_failures(vec![3]),
+            .with(Fault::TrainerPanic, [1, 3])
+            .with(Fault::JournalTruncate, [2])
+            .with(Fault::JournalWrite, [3]),
         // Disk faults on the maintenance paths: the first compaction
         // attempt, the first archive segment seal, and the first
         // snapshot-export attempt all fail ENOSPC-style and must be
         // retried in place, while the publisher also panics and slows.
         2 => FaultPlan::none()
-            .with_publisher_panics(vec![1])
+            .with(Fault::PublisherPanic, [1])
             .with_publish_delay(Duration::from_millis(2))
-            .with_tailer_panics(vec![40])
-            .with_compaction_failures(vec![1])
-            .with_archive_seal_failures(vec![1])
-            .with_snapshot_write_failures(vec![1]),
+            .with(Fault::TailerPanic, [40])
+            .with(Fault::Compaction, [1])
+            .with(Fault::ArchiveSeal, [1])
+            .with(Fault::SnapshotWrite, [1]),
         // The semantic attack: the first snapshot of this incarnation has
         // intact bits but inverted rankings — only the quality gate can
         // catch it. Plus one journal write whose whole retry chain
@@ -493,9 +493,9 @@ fn fault_plan_for(cycle: u32) -> Arc<FaultPlan> {
         // And the first archive-expiry manifest commit fails mid-write:
         // the old boundary survives and the retry must land.
         3 => FaultPlan::none()
-            .with_poisoned_snapshots(vec![1])
-            .with_journal_write_failures(vec![4, 5, 6])
-            .with_expiry_failures(vec![1]),
+            .with(Fault::PoisonSnapshot, [1])
+            .with(Fault::JournalWrite, [4, 5, 6])
+            .with(Fault::ArchiveExpiry, [1]),
         _ => FaultPlan::none(),
     })
 }
@@ -532,7 +532,6 @@ pub fn run_soak(cfg: &SoakConfig, workdir: &Path) -> Result<SoakReport, Inf2vecE
     // A stale workdir would double-count traffic: start clean.
     let _ = std::fs::remove_file(&log);
     let _ = std::fs::remove_file(&shadow);
-    let _ = std::fs::remove_file(archive_path(&log));
     let _ = std::fs::remove_dir_all(archive_dir(&log));
     let _ = std::fs::remove_file(workdir.join("verify.log"));
     let _ = std::fs::remove_file(workdir.join("restored.log"));
@@ -545,7 +544,6 @@ pub fn run_soak(cfg: &SoakConfig, workdir: &Path) -> Result<SoakReport, Inf2vecE
     pipe_cfg.inf2vec.seed = cfg.seed;
     pipe_cfg.user_capacity = universe as usize;
     pipe_cfg.log_budget_bytes = cfg.log_budget_bytes;
-    pipe_cfg.archive_compacted = true;
     pipe_cfg.archive_max_segments = cfg.archive_max_segments;
     pipe_cfg.archive_max_bytes = cfg.archive_max_bytes;
     pipe_cfg.probe_pairs = cfg.probe_pairs;

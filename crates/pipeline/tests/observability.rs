@@ -10,7 +10,9 @@ use std::sync::Arc;
 use inf2vec_graph::{DiGraph, GraphBuilder, NodeId};
 use inf2vec_obs::{Event, MemorySink, Telemetry};
 use inf2vec_pipeline::publish::CountingSink;
-use inf2vec_pipeline::{run_soak, FaultPlan, Pipeline, PipelineConfig, SoakConfig, TraceIndex};
+use inf2vec_pipeline::{
+    run_soak, Fault, FaultPlan, Pipeline, PipelineConfig, SoakConfig, TraceIndex,
+};
 use inf2vec_util::system_clock;
 
 fn tmp_dir(tag: &str) -> PathBuf {
@@ -86,7 +88,7 @@ fn trainer_panic_leaves_a_flight_dump_ending_before_the_panic_site() {
     write_log(&log, 4, 6);
 
     let telemetry = Telemetry::new(Arc::new(MemorySink::new()));
-    let faults = Arc::new(FaultPlan::none().with_trainer_panics(vec![1]));
+    let faults = Arc::new(FaultPlan::none().with(Fault::TrainerPanic, [1]));
     let mut p = build(&dir, &log, telemetry, faults);
     p.run_until_idle().unwrap();
     p.drain_open_episodes().unwrap();

@@ -23,6 +23,10 @@
 //! - driver-side swap / failure / suppression / quarantine counts equal
 //!   their metrics exactly, and every scripted step had its expected
 //!   effect.
+//!
+//! [`run_script`] and [`reconcile`] are public: the network load
+//! generator (`repro serve-load`) replays the same script under its wire
+//! traffic and reconciles its client-side tallies the same way.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -32,7 +36,7 @@ use std::time::{Duration, Instant};
 use inf2vec_embed::EmbeddingStore;
 use inf2vec_eval::aggregate::Aggregator;
 use inf2vec_graph::NodeId;
-use inf2vec_obs::Telemetry;
+use inf2vec_obs::{Snapshot, Telemetry};
 use inf2vec_util::faultinject::{FaultSchedule, SnapshotFault};
 use inf2vec_util::json::push_json_string;
 use inf2vec_util::rng::{split_seed, Xoshiro256pp};
@@ -243,13 +247,114 @@ pub fn run_chaos(cfg: &ChaosConfig, telemetry: Telemetry) -> ChaosReport {
         telemetry,
     );
 
-    // --- payloads ---------------------------------------------------------
-    let model_a = EmbeddingStore::new(cfg.n_nodes, cfg.k, cfg.seed);
-    let model_b = EmbeddingStore::new(cfg.n_nodes, cfg.k, cfg.seed + 1);
+    let stop = AtomicBool::new(false);
+    let (mut script, worker_tallies) = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..cfg.workers)
+            .map(|w| {
+                let svc = &svc;
+                let stop = &stop;
+                let cfg = &cfg;
+                scope.spawn(move || worker_loop(svc, stop, cfg, w as u64))
+            })
+            .collect();
+        let pause = Duration::from_millis(cfg.driver_pause_ms);
+        let script = run_script(&svc, cfg.n_nodes, cfg.k, cfg.seed, pause);
+        // Let the restored model serve a little, then stop the workers.
+        std::thread::sleep(Duration::from_millis(10));
+        stop.store(true, Ordering::SeqCst);
+        let tallies: Vec<WorkerTally> = handles
+            .into_iter()
+            .map(|h| h.join().expect("worker panicked"))
+            .collect();
+        (script, tallies)
+    });
+
+    // --- reconciliation ---------------------------------------------------
+    let mut tallies: BTreeMap<String, u64> = BTreeMap::new();
+    let mut requests = 0u64;
+    let mut bad_values = 0u64;
+    for t in &worker_tallies {
+        requests += t.requests;
+        bad_values += t.bad_values;
+        for (k, v) in &t.outcomes {
+            *tallies.entry((*k).to_string()).or_insert(0) += v;
+        }
+    }
+    let snap = svc.telemetry().snapshot();
+    let (metric_requests, quarantined) =
+        reconcile(&snap, &tallies, requests, bad_values, &mut script, 0);
+    let mismatches = &mut script.mismatches;
+    for (dedicated, outcome) in [
+        (metrics::SHED_TOTAL, "shed"),
+        (metrics::DEADLINE_MISS_TOTAL, "deadline_exceeded"),
+        (metrics::DEGRADED_TOTAL, "degraded"),
+    ] {
+        let a = snap.counter_value(dedicated, &[]);
+        let b = snap.counter_value(metrics::REQUESTS_TOTAL, &[("outcome", outcome)]);
+        if a != b {
+            mismatches.push(format!(
+                "{dedicated} ({a}) disagrees with requests_total{{outcome={outcome}}} ({b})"
+            ));
+        }
+    }
+
+    // Postmortem artifact: the most recent events (swaps, failures,
+    // breaker transitions) as the flight ring saw them.
+    if let Some(path) = &cfg.flight_dump {
+        if let Err(e) = svc.telemetry().dump_flight(path) {
+            mismatches.push(format!("flight dump to {} failed: {e}", path.display()));
+        }
+    }
+
+    ChaosReport {
+        requests,
+        tallies,
+        metric_requests,
+        swaps_ok: script.swaps_ok,
+        swaps_failed: script.swaps_failed,
+        suppressed: script.suppressed,
+        quarantined,
+        bad_values,
+        mismatches: script.mismatches,
+    }
+}
+
+/// Driver-side counts from one pass over the chaos script.
+#[derive(Debug, Default)]
+pub struct ScriptTally {
+    /// Successful swaps.
+    pub swaps_ok: u64,
+    /// Failed load attempts (breaker-visible).
+    pub swaps_failed: u64,
+    /// Breaker-suppressed attempts.
+    pub suppressed: u64,
+    /// Every mismatch found so far: the steps that missed their expected
+    /// effect, then whatever [`reconcile`] adds.
+    pub mismatches: Vec<String>,
+}
+
+/// Walks the chaos script against `svc`: a good swap, a corrupted load,
+/// a slow hot-swap, a truncated load, a flaky streak that trips the
+/// breaker, a suppressed reload while it is open, an overflow model
+/// that must be quarantined at runtime (the caller's concurrent traffic
+/// trips the guard, and degraded answers must follow), and a final good
+/// swap. The three `n_nodes × k` models are seeded `seed`, `seed + 1`
+/// and `seed + 2`; `pause` separates the ordinary steps, and the step
+/// after the suppressed one waits out the breaker's base backoff so it
+/// runs as a half-open probe.
+pub fn run_script(
+    svc: &ScoringService,
+    n_nodes: usize,
+    k: usize,
+    seed: u64,
+    pause: Duration,
+) -> ScriptTally {
+    let model_a = EmbeddingStore::new(n_nodes, k, seed);
+    let model_b = EmbeddingStore::new(n_nodes, k, seed + 1);
     // Finite parameters that overflow f32 in the dot product: validation
     // passes, the runtime guard must catch it.
-    let overflow = EmbeddingStore::new(cfg.n_nodes, cfg.k, cfg.seed + 2);
-    for i in 0..cfg.n_nodes {
+    let overflow = EmbeddingStore::new(n_nodes, k, seed + 2);
+    for i in 0..n_nodes {
         unsafe {
             overflow.source.row_mut(i).fill(1e30);
             overflow.target.row_mut(i).fill(1e30);
@@ -279,9 +384,11 @@ pub fn run_chaos(cfg: &ChaosConfig, telemetry: Telemetry) -> ChaosReport {
             "v-good-b-slow",
             &bytes_b,
             Some(sum_b),
+            // ~4 delayed chunks: a visibly slow hot-swap under traffic
+            // without stalling the whole scripted run.
             SnapshotFault::Slow {
                 delay_ms: 2,
-                chunk: 2048,
+                chunk: bytes_b.len() / 4 + 1,
             },
             Expect::Swap,
         ),
@@ -315,77 +422,73 @@ pub fn run_chaos(cfg: &ChaosConfig, telemetry: Telemetry) -> ChaosReport {
         ("v-final-b", &bytes_b, Some(sum_b), SnapshotFault::Clean, Expect::Swap),
     ];
     let schedule = FaultSchedule::new(script.iter().map(|s| s.3).collect());
-
-    let stop = AtomicBool::new(false);
-    let mut mismatches: Vec<String> = Vec::new();
-    let mut swaps_ok = 0u64;
-    let mut swaps_failed = 0u64;
-    let mut suppressed = 0u64;
-
-    let worker_tallies: Vec<WorkerTally> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..cfg.workers)
-            .map(|w| {
-                let svc = &svc;
-                let stop = &stop;
-                let cfg = &cfg;
-                scope.spawn(move || worker_loop(svc, stop, cfg, w as u64))
-            })
-            .collect();
-
-        // --- the driver ---------------------------------------------------
-        for (i, (label, payload, expected_sum, _fault, expect)) in script.iter().enumerate() {
-            let fault = schedule.next_fault();
-            let res = svc.reload_from_reader(label, fault.wrap(*payload), *expected_sum);
-            match (expect, &res) {
-                (Expect::Swap, Ok(_)) => swaps_ok += 1,
-                (Expect::Fail, Err(e)) if !is_suppressed(e) => swaps_failed += 1,
-                (Expect::Suppressed, Err(e)) if is_suppressed(e) => suppressed += 1,
-                (want, got) => mismatches.push(format!(
-                    "script step {i} ({label}): expected {want:?}, got {got:?}"
-                )),
-            }
-            match *label {
-                // Give the breaker's backoff time to elapse so the next
-                // step runs as a half-open probe.
-                "v-suppressed" => std::thread::sleep(breaker.base_backoff + Duration::from_millis(20)),
-                // Wait (bounded) for a worker to trip the runtime
-                // non-finite guard and quarantine the overflow model,
-                // then for at least one degraded answer to land.
-                "v-overflow" => {
-                    if !wait_until(Duration::from_secs(2), || svc.registry().current().is_none()) {
-                        mismatches.push("overflow model was never quarantined".into());
-                    }
-                    let degraded_seen = wait_until(Duration::from_secs(2), || {
-                        svc.telemetry()
-                            .snapshot()
-                            .counter_value(metrics::REQUESTS_TOTAL, &[("outcome", "degraded")])
-                            > 0
-                    });
-                    if !degraded_seen {
-                        mismatches.push("no degraded answer was served while quarantined".into());
-                    }
-                }
-                _ => std::thread::sleep(Duration::from_millis(cfg.driver_pause_ms)),
-            }
+    let mut tally = ScriptTally::default();
+    for (i, (label, payload, expected_sum, _fault, expect)) in script.iter().enumerate() {
+        let fault = schedule.next_fault();
+        let res = svc.reload_from_reader(label, fault.wrap(*payload), *expected_sum);
+        match (expect, &res) {
+            (Expect::Swap, Ok(_)) => tally.swaps_ok += 1,
+            (Expect::Fail, Err(e)) if !is_suppressed(e) => tally.swaps_failed += 1,
+            (Expect::Suppressed, Err(e)) if is_suppressed(e) => tally.suppressed += 1,
+            (want, got) => tally.mismatches.push(format!(
+                "script step {i} ({label}): expected {want:?}, got {got:?}"
+            )),
         }
-        // Let the restored model serve a little, then stop the workers.
-        std::thread::sleep(Duration::from_millis(10));
-        stop.store(true, Ordering::SeqCst);
-        handles.into_iter().map(|h| h.join().expect("worker panicked")).collect()
-    });
-
-    // --- reconciliation ---------------------------------------------------
-    let mut tallies: BTreeMap<String, u64> = BTreeMap::new();
-    let mut requests = 0u64;
-    let mut bad_values = 0u64;
-    for t in &worker_tallies {
-        requests += t.requests;
-        bad_values += t.bad_values;
-        for (k, v) in &t.outcomes {
-            *tallies.entry((*k).to_string()).or_insert(0) += v;
+        match *label {
+            // Give the breaker's backoff time to elapse so the next
+            // step runs as a half-open probe.
+            "v-suppressed" => {
+                std::thread::sleep(svc.config().breaker.base_backoff + Duration::from_millis(20))
+            }
+            // Wait (bounded) for the traffic to trip the runtime
+            // non-finite guard and quarantine the overflow model, then
+            // for at least one degraded answer to land.
+            "v-overflow" => {
+                if !wait_until(Duration::from_secs(5), || svc.registry().current().is_none()) {
+                    tally.mismatches.push("overflow model was never quarantined".into());
+                }
+                let degraded_seen = wait_until(Duration::from_secs(5), || {
+                    svc.telemetry()
+                        .snapshot()
+                        .counter_value(metrics::REQUESTS_TOTAL, &[("outcome", "degraded")])
+                        > 0
+                });
+                if !degraded_seen {
+                    tally
+                        .mismatches
+                        .push("no degraded answer was served while quarantined".into());
+                }
+            }
+            _ => std::thread::sleep(pause),
         }
     }
-    let snap = svc.telemetry().snapshot();
+    if schedule.consumed() != schedule.len() {
+        tally.mismatches.push(format!(
+            "fault schedule: consumed {} of {} scripted steps",
+            schedule.consumed(),
+            schedule.len()
+        ));
+    }
+    tally
+}
+
+/// Reconciles a chaos run against the metrics in `snap`: the callers'
+/// per-outcome `tallies` (which must sum to `requests`) against
+/// `inf2vec_serve_requests_total`, no non-finite answer (`bad_values`),
+/// the script's swap / failure / suppression counts — plus `installs`
+/// swaps made outside the script — against their counters, and exactly
+/// one quarantined version. Every disagreement is pushed onto
+/// `script.mismatches`. Returns the per-outcome metric counts and the
+/// quarantined-version count.
+pub fn reconcile(
+    snap: &Snapshot,
+    tallies: &BTreeMap<String, u64>,
+    requests: u64,
+    bad_values: u64,
+    script: &mut ScriptTally,
+    installs: u64,
+) -> (BTreeMap<String, u64>, u64) {
+    let mismatches = &mut script.mismatches;
     let mut metric_requests: BTreeMap<String, u64> = BTreeMap::new();
     for outcome in OUTCOMES {
         let n = snap.counter_value(metrics::REQUESTS_TOTAL, &[("outcome", outcome)]);
@@ -395,14 +498,14 @@ pub fn run_chaos(cfg: &ChaosConfig, telemetry: Telemetry) -> ChaosReport {
         let tallied = tallies.get(outcome).copied().unwrap_or(0);
         if tallied != n {
             mismatches.push(format!(
-                "outcome {outcome}: workers tallied {tallied}, metrics say {n}"
+                "outcome {outcome}: callers tallied {tallied}, metrics say {n}"
             ));
         }
     }
     let tally_sum: u64 = tallies.values().sum();
     if tally_sum != requests {
         mismatches.push(format!(
-            "tallies sum to {tally_sum} but {requests} requests were issued \
+            "tallies sum to {tally_sum} but {requests} requests completed \
              (some request vanished without an outcome)"
         ));
     }
@@ -411,6 +514,8 @@ pub fn run_chaos(cfg: &ChaosConfig, telemetry: Telemetry) -> ChaosReport {
             "{bad_values} successful answers carried NaN or an unexpected non-finite score"
         ));
     }
+    let swaps_ok = script.swaps_ok + installs;
+    let (swaps_failed, suppressed) = (script.swaps_failed, script.suppressed);
     for (name, want, what) in [
         (metrics::SWAP_TOTAL, swaps_ok, "successful swaps"),
         (metrics::SWAP_FAILED_TOTAL, swaps_failed, "failed loads"),
@@ -427,46 +532,7 @@ pub fn run_chaos(cfg: &ChaosConfig, telemetry: Telemetry) -> ChaosReport {
             "expected exactly 1 quarantined version, metrics say {quarantined}"
         ));
     }
-    for (dedicated, outcome) in [
-        (metrics::SHED_TOTAL, "shed"),
-        (metrics::DEADLINE_MISS_TOTAL, "deadline_exceeded"),
-        (metrics::DEGRADED_TOTAL, "degraded"),
-    ] {
-        let a = snap.counter_value(dedicated, &[]);
-        let b = snap.counter_value(metrics::REQUESTS_TOTAL, &[("outcome", outcome)]);
-        if a != b {
-            mismatches.push(format!(
-                "{dedicated} ({a}) disagrees with requests_total{{outcome={outcome}}} ({b})"
-            ));
-        }
-    }
-    if schedule.consumed() != schedule.len() {
-        mismatches.push(format!(
-            "fault schedule: consumed {} of {} scripted steps",
-            schedule.consumed(),
-            schedule.len()
-        ));
-    }
-
-    // Postmortem artifact: the most recent events (swaps, failures,
-    // breaker transitions) as the flight ring saw them.
-    if let Some(path) = &cfg.flight_dump {
-        if let Err(e) = svc.telemetry().dump_flight(path) {
-            mismatches.push(format!("flight dump to {} failed: {e}", path.display()));
-        }
-    }
-
-    ChaosReport {
-        requests,
-        tallies,
-        metric_requests,
-        swaps_ok,
-        swaps_failed,
-        suppressed,
-        quarantined,
-        bad_values,
-        mismatches,
-    }
+    (metric_requests, quarantined)
 }
 
 fn is_suppressed(e: &inf2vec_util::error::Inf2vecError) -> bool {
