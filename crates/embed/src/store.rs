@@ -266,6 +266,8 @@ impl EmbeddingStore {
     /// model file would silently poison every downstream score, so it is
     /// surfaced here as `InvalidData` instead.
     pub fn save<W: Write>(&self, mut w: W) -> std::io::Result<()> {
+        use std::fmt::Write as _;
+        const INFALLIBLE: &str = "formatting into a String cannot fail";
         if self.has_non_finite() {
             return Err(std::io::Error::new(
                 std::io::ErrorKind::InvalidData,
@@ -274,20 +276,14 @@ impl EmbeddingStore {
         }
         writeln!(w, "{} {} {}", self.len(), self.k(), u8::from(self.use_bias))?;
         let mut line = String::new();
-        for u in 0..self.len() as u32 {
+        for u in 0..self.len() {
             line.clear();
-            for x in self.s(u) {
-                line.push_str(&format!("{x} "));
+            for x in self.source.row(u).iter().chain(self.target.row(u)) {
+                write!(line, "{x} ").expect(INFALLIBLE);
             }
-            for x in self.t(u) {
-                line.push_str(&format!("{x} "));
-            }
-            line.push_str(&format!(
-                "{} {}",
-                self.bias_src.row(u as usize)[0],
-                self.bias_tgt.row(u as usize)[0]
-            ));
-            writeln!(w, "{line}")?;
+            let (b, b_tilde) = (self.bias_src.row(u)[0], self.bias_tgt.row(u)[0]);
+            writeln!(line, "{b} {b_tilde}").expect(INFALLIBLE);
+            w.write_all(line.as_bytes())?;
         }
         Ok(())
     }
@@ -474,6 +470,81 @@ mod tests {
             assert_eq!(l.t(u), s.t(u));
         }
         assert_eq!(l.bias_src.row(2)[0], -1.5);
+    }
+
+    /// The per-float `format!` formatter `save` used before it wrote each
+    /// value into one reused line: the bytes `save` must keep producing.
+    fn save_reference(s: &EmbeddingStore) -> Vec<u8> {
+        let mut w = Vec::new();
+        writeln!(w, "{} {} {}", s.len(), s.k(), u8::from(s.use_bias)).unwrap();
+        let mut line = String::new();
+        for u in 0..s.len() as u32 {
+            line.clear();
+            for x in s.s(u) {
+                line.push_str(&format!("{x} "));
+            }
+            for x in s.t(u) {
+                line.push_str(&format!("{x} "));
+            }
+            line.push_str(&format!(
+                "{} {}",
+                s.bias_src.row(u as usize)[0],
+                s.bias_tgt.row(u as usize)[0]
+            ));
+            writeln!(w, "{line}").unwrap();
+        }
+        w
+    }
+
+    mod proptests {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// Values every case draws from besides its arbitrary bit patterns.
+        const EDGES: [f32; 9] = [
+            -0.0,
+            0.0,
+            f32::from_bits(1), // smallest subnormal
+            -f32::from_bits(0x0040_0000),
+            f32::MIN_POSITIVE,
+            1e-7,
+            -1e-7,
+            f32::MAX,
+            f32::MIN,
+        ];
+
+        proptest! {
+            /// `save` writes exactly the bytes of the old formatter for any
+            /// finite values, with biases on or off.
+            #[test]
+            fn save_matches_the_per_float_formatter(
+                n in 1usize..5,
+                k in 1usize..6,
+                bits in prop::collection::vec(any::<u32>(), 1..48),
+                use_bias in any::<bool>(),
+                shift in 0usize..64,
+            ) {
+                // Clearing the exponent's top bit makes an Inf/NaN pattern
+                // finite and leaves every finite pattern as it is.
+                let arbitrary = bits.iter().map(|&b| {
+                    let x = f32::from_bits(b);
+                    if x.is_finite() { x } else { f32::from_bits(b & !0x4000_0000) }
+                });
+                let pool: Vec<f32> = EDGES.iter().copied().chain(arbitrary).collect();
+                let mut draw = (shift..).map(|i| pool[i % pool.len()]);
+                let mut s = EmbeddingStore::zeroed(n, k);
+                s.use_bias = use_bias;
+                for (m, len) in [(&mut s.source, n * k), (&mut s.target, n * k)] {
+                    m.copy_from(&draw.by_ref().take(len).collect::<Vec<_>>());
+                }
+                for m in [&mut s.bias_src, &mut s.bias_tgt] {
+                    m.copy_from(&draw.by_ref().take(n).collect::<Vec<_>>());
+                }
+                let mut saved = Vec::new();
+                s.save(&mut saved).unwrap();
+                prop_assert_eq!(saved, save_reference(&s));
+            }
+        }
     }
 
     #[test]

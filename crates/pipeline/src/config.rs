@@ -30,7 +30,12 @@ pub struct PipelineConfig {
     pub idle_polls: u32,
     /// Tailer sleep between empty polls.
     pub poll_interval: Duration,
-    /// Write the progress journal every N applied batches (1 = always).
+    /// Commit the progress journal every N applied batches (1 = always).
+    /// A commit snapshots the trainer and a writer thread writes the slot
+    /// while training goes on; the next commit first waits for it, so at
+    /// most one is in flight, and every public call returns with it
+    /// settled. A process killed mid-write replays from the commit before
+    /// the one in flight.
     pub journal_every_batches: u32,
     /// Offer a snapshot to the publisher every N closed episodes.
     pub publish_every_episodes: u64,

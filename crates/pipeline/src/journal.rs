@@ -24,13 +24,14 @@
 //!   [`PipelineError::JournalMismatch`] rather than silently retrained.
 
 use std::fs;
-use std::io;
+use std::io::{self, BufWriter, Write};
 use std::path::{Path, PathBuf};
 
 use inf2vec_embed::{EmbeddingStore, OnlineState};
 use inf2vec_ingest::TailPosition;
 use inf2vec_util::error::{Inf2vecError, PipelineError};
-use inf2vec_util::{atomic_write, fnv1a};
+use inf2vec_util::faultinject::FailingWriter;
+use inf2vec_util::{atomic_write, fnv1a, Fnv1a};
 
 /// Journal format magic (version-independent prefix).
 const MAGIC: &str = "inf2vec-journal";
@@ -121,23 +122,10 @@ impl Journal {
         state: &JournalState,
         fail_after_bytes: Option<usize>,
     ) -> Result<PathBuf, Inf2vecError> {
-        let mut body = Vec::new();
-        serialize(state, &mut body)?;
-        let sum = fnv1a(&body);
         let path = self.slot_path(state.round);
-        atomic_write(&path, |f| {
-            use std::io::Write;
-            match fail_after_bytes {
-                Some(limit) => {
-                    let mut w = inf2vec_util::faultinject::FailingWriter::new(&mut *f, limit);
-                    w.write_all(&body)?;
-                    writeln!(w, "checksum {sum:016x}")
-                }
-                None => {
-                    f.write_all(&body)?;
-                    writeln!(f, "checksum {sum:016x}")
-                }
-            }
+        atomic_write(&path, |f| match fail_after_bytes {
+            Some(limit) => write_slot(state, FailingWriter::new(f, limit)),
+            None => write_slot(state, f),
         })?;
         Ok(path)
     }
@@ -205,8 +193,38 @@ pub fn check_shape(
     Ok(())
 }
 
-fn serialize(state: &JournalState, out: &mut Vec<u8>) -> io::Result<()> {
-    use std::io::Write;
+/// Streams one slot into `out` through a 64 KiB buffer: the body, then a
+/// checksum line over every body byte, folded in as the bytes pass.
+fn write_slot(state: &JournalState, out: impl Write) -> io::Result<()> {
+    let mut body = Checksummed {
+        inner: BufWriter::with_capacity(64 << 10, out),
+        sum: Fnv1a::default(),
+    };
+    serialize(state, &mut body)?;
+    let Checksummed { mut inner, sum } = body;
+    writeln!(inner, "checksum {:016x}", sum.finish())?;
+    inner.flush()
+}
+
+/// A writer that folds every byte it passes on into an FNV-1a checksum.
+struct Checksummed<W> {
+    inner: W,
+    sum: Fnv1a,
+}
+
+impl<W: Write> Write for Checksummed<W> {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        let n = self.inner.write(buf)?;
+        self.sum.update(&buf[..n]);
+        Ok(n)
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        self.inner.flush()
+    }
+}
+
+fn serialize(state: &JournalState, out: &mut impl Write) -> io::Result<()> {
     writeln!(out, "{HEADER}")?;
     writeln!(out, "round {}", state.round)?;
     writeln!(out, "pos {} {}", state.pos.offset, state.pos.line_no)?;
@@ -242,8 +260,7 @@ fn serialize(state: &JournalState, out: &mut Vec<u8>) -> io::Result<()> {
     Ok(())
 }
 
-fn write_u64s(out: &mut Vec<u8>, tag: &str, vals: &[u64]) -> io::Result<()> {
-    use std::io::Write;
+fn write_u64s(out: &mut impl Write, tag: &str, vals: &[u64]) -> io::Result<()> {
     write!(out, "{tag} {}", vals.len())?;
     for v in vals {
         write!(out, " {v}")?;
@@ -447,6 +464,49 @@ mod tests {
             a.online.store.target.to_vec(),
             b.online.store.target.to_vec()
         );
+        assert_eq!(
+            a.online.store.bias_src.to_vec(),
+            b.online.store.bias_src.to_vec()
+        );
+        assert_eq!(
+            a.online.store.bias_tgt.to_vec(),
+            b.online.store.bias_tgt.to_vec()
+        );
+    }
+
+    /// A slot written by the build before slots were streamed, from
+    /// [`fixture_state`]: its layout, number formatting and checksum line
+    /// are what every later build must write and read.
+    const V2_SLOT: &[u8] = include_bytes!("../tests/fixtures/journal-v2.b");
+
+    /// `sample(7)` with the float shapes the text format must reproduce:
+    /// negative zero, the smallest subnormal, 1e-7, `f32::MAX` and
+    /// non-zero biases.
+    fn fixture_state() -> JournalState {
+        let state = sample(7);
+        let store = &state.online.store;
+        // SAFETY: single-threaded test; no two borrowed rows overlap.
+        unsafe {
+            let (s0, t3) = (store.source.row_mut(0), store.target.row_mut(3));
+            s0.copy_from_slice(&[-0.0, f32::from_bits(1), 1e-7]);
+            t3.copy_from_slice(&[f32::MAX, -1.5, 0.1]);
+            store.bias_src.row_mut(2)[0] = -0.25;
+            store.bias_tgt.row_mut(1)[0] = 3.0e-38;
+        }
+        state
+    }
+
+    #[test]
+    fn write_reproduces_the_committed_v2_slot_and_loads_it() {
+        let tmp = tmp_dir("journal-v2-write");
+        let path = Journal::new(&tmp).unwrap().write(&fixture_state()).unwrap();
+        assert_eq!(path.file_name().unwrap(), "journal.b");
+        assert!(fs::read(&path).unwrap() == V2_SLOT, "slot bytes moved");
+
+        let tmp = tmp_dir("journal-v2-load");
+        fs::write(tmp.join("journal.b"), V2_SLOT).unwrap();
+        let loaded = Journal::new(&tmp).unwrap().load_latest().unwrap();
+        assert_same(&fixture_state(), &loaded.expect("the committed slot loads"));
     }
 
     #[test]

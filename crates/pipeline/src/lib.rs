@@ -12,7 +12,10 @@
 //!  action log ──tail──▶ [tailer] ──bounded chan──▶ [trainer] ──try_send──▶ [publisher]
 //!  (append-only)         ingest     backpressure    assemble episodes       retry+backoff
 //!                                                   online SGNS             install_checked
-//!                                                   journal (WAL)           into ModelRegistry
+//!                                                   journal commit          into ModelRegistry
+//!                                                        │ ≤ 1 in flight
+//!                                                        ▼
+//!                                                   [journal writer] ──▶ WAL slots
 //! ```
 //!
 //! - [`journal`]: double-slot checksummed write-ahead journal; a crash at

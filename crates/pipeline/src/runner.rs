@@ -9,6 +9,12 @@
 //!   [`Pipeline::run_until_idle`]): folds records into open episodes,
 //!   closes episodes that have gone quiet, applies their pairs to the
 //!   online model, and journals progress at batch boundaries.
+//! - **journal writer** (one thread per commit): writes the trainer's
+//!   snapshot into its slot while the trainer goes on training. At most
+//!   one commit is in flight; the trainer *settles* it (joins the writer,
+//!   then advances the round and compacts) before it starts the next one
+//!   and before any public call returns, so a caller only ever sees the
+//!   journal the synchronous write would have left.
 //! - **publisher** (thread): receives model snapshots over a capacity-1
 //!   channel and installs them into the sink with retry + backoff.
 //!
@@ -41,7 +47,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use inf2vec_diffusion::{Episode, ItemId};
 use inf2vec_embed::{EmbeddingStore, OnlineSgns};
@@ -115,6 +121,14 @@ impl Drop for PublisherHandle {
             let _ = t.join();
         }
     }
+}
+
+/// A journal commit whose writer thread may still be running: the
+/// committed position and the writer, which yields the slot it wrote
+/// (`None` once every retry attempt failed).
+struct InFlightCommit {
+    pos: TailPosition,
+    writer: JoinHandle<Option<PathBuf>>,
 }
 
 /// One still-assembling episode.
@@ -455,6 +469,8 @@ pub struct Pipeline {
     /// in this incarnation — the newest point both slots are guaranteed
     /// to be at or past, and therefore the compaction bound.
     prev_commit: Option<TailPosition>,
+    /// The one journal commit that may be in flight.
+    in_flight: Option<InFlightCommit>,
     /// Compactions performed by this incarnation.
     compactions: u64,
     /// The segmented archive store, opened lazily at the first
@@ -567,6 +583,7 @@ impl Pipeline {
             universe,
             gate,
             prev_commit: None,
+            in_flight: None,
             compactions: 0,
             archive: None,
             archive_counters: ArchiveCounters::default(),
@@ -583,8 +600,18 @@ impl Pipeline {
     }
 
     /// Consumes the log until `idle_polls` consecutive empty polls, then
-    /// journals. Supervises all stages while running.
+    /// journals. Supervises all stages while running. Returns with the
+    /// journal settled, on error too.
     pub fn run_until_idle(&mut self) -> Result<(), Inf2vecError> {
+        if let Err(e) = self.consume_until_idle() {
+            self.settle();
+            return Err(e);
+        }
+        self.write_journal();
+        Ok(())
+    }
+
+    fn consume_until_idle(&mut self) -> Result<(), Inf2vecError> {
         self.ensure_tailer();
         self.ensure_publisher();
         let mut idle = 0u32;
@@ -604,7 +631,7 @@ impl Pipeline {
                 }
             }
         }
-        self.write_journal()
+        Ok(())
     }
 
     fn handle_batch(
@@ -621,7 +648,7 @@ impl Pipeline {
             Ok(()) => {
                 self.batches_since_journal += 1;
                 if self.batches_since_journal >= self.cfg.journal_every_batches.max(1) {
-                    self.write_journal()?;
+                    self.begin_commit();
                 }
                 self.maybe_publish()
             }
@@ -633,6 +660,9 @@ impl Pipeline {
     /// rebuild it from the journal and give it a fresh tailer channel
     /// (discarding in-flight batches the journaled position will re-read).
     fn recover_trainer(&mut self, message: String) -> Result<(), Inf2vecError> {
+        // The rebuild reads the journal, and the commit in flight belongs
+        // to the batches before the panic.
+        self.settle();
         // Dump *before* emitting the restart event: the last line of the
         // flight file must be an event that preceded the panic site.
         self.dump_flight_postmortem("trainer_panic");
@@ -760,46 +790,79 @@ impl Pipeline {
         }
     }
 
-    /// Writes the journal with bounded retry against disk faults. An
-    /// exhausted retry chain **degrades instead of failing**: training
-    /// continues uncommitted (a wider replay window after the next crash,
-    /// never lost records), a flight postmortem is dumped, and the next
-    /// batch boundary tries again. Schema/shape errors still propagate —
-    /// only disk-level write failures degrade.
-    fn write_journal(&mut self) -> Result<(), Inf2vecError> {
+    /// Starts a journal commit of the trainer's current state and returns
+    /// without waiting for the disk: a writer thread writes the slot
+    /// while training goes on. The previous commit is settled first, so
+    /// at most one is ever in flight; the time the trainer waits for it
+    /// is observed as `inf2vec_pipeline_journal_wait_seconds`.
+    ///
+    /// The writer retries disk faults with [`retry`]. An exhausted retry
+    /// chain **degrades instead of failing**: training continues
+    /// uncommitted (a wider replay window after the next crash, never
+    /// lost records), and the next batch boundary tries again with the
+    /// same round.
+    fn begin_commit(&mut self) {
+        if self.in_flight.is_some() {
+            let started = Instant::now();
+            self.settle();
+            self.cfg.telemetry.observe(
+                "inf2vec_pipeline_journal_wait_seconds",
+                started.elapsed().as_secs_f64(),
+            );
+        }
         let state = self.trainer.to_state(self.round);
-        let written = retry(
-            &self.clock,
-            self.cfg.disk_max_attempts,
-            self.cfg.disk_retry_backoff,
-            Duration::MAX,
-            |_| {
-                let inject = self.faults.tick(Fault::JournalWrite).then_some(64);
-                self.journal.write_with(&state, inject)
-            },
-            |attempt, e| {
-                self.cfg
-                    .telemetry
-                    .count("inf2vec_pipeline_journal_write_errors_total", 1);
-                self.cfg.telemetry.emit(
-                    Event::new("pipeline.journal_write_error")
-                        .u64("round", state.round)
-                        .u64("attempt", attempt as u64)
-                        .str("error", e.to_string()),
-                );
-            },
-        );
-        let Some(path) = written else {
-            // All attempts failed: skip this commit, keep training.
+        let pos = state.pos;
+        let journal = self.journal.clone();
+        let (clock, faults) = (self.clock.clone(), Arc::clone(&self.faults));
+        let (attempts, backoff) = (self.cfg.disk_max_attempts, self.cfg.disk_retry_backoff);
+        let telemetry = self.cfg.telemetry.clone();
+        let writer = std::thread::Builder::new()
+            .name("inf2vec-journal".into())
+            .spawn(move || {
+                retry(
+                    &clock,
+                    attempts,
+                    backoff,
+                    Duration::MAX,
+                    |_| {
+                        let inject = faults.tick(Fault::JournalWrite).then_some(64);
+                        journal.write_with(&state, inject)
+                    },
+                    |attempt, e| {
+                        telemetry.count("inf2vec_pipeline_journal_write_errors_total", 1);
+                        telemetry.emit(
+                            Event::new("pipeline.journal_write_error")
+                                .u64("round", state.round)
+                                .u64("attempt", attempt as u64)
+                                .str("error", e.to_string()),
+                        );
+                    },
+                )
+            })
+            .expect("spawn journal writer thread");
+        self.in_flight = Some(InFlightCommit { pos, writer });
+        self.batches_since_journal = 0;
+    }
+
+    /// Waits for the commit in flight, if any, and applies its outcome as
+    /// the synchronous write did right after writing: a written slot
+    /// advances the round, is counted, may be torn by fault injection,
+    /// triggers compaction and becomes the next compaction bound; an
+    /// exhausted one is counted as skipped and dumps a flight postmortem.
+    fn settle(&mut self) {
+        let Some(commit) = self.in_flight.take() else {
+            return;
+        };
+        // A writer that panicked wrote nothing durable: the same outcome
+        // as an exhausted retry chain.
+        let Some(path) = commit.writer.join().unwrap_or(None) else {
             self.dump_flight_postmortem("journal_write_failed");
             self.cfg
                 .telemetry
                 .count("inf2vec_pipeline_journal_writes_skipped_total", 1);
-            self.batches_since_journal = 0;
-            return Ok(());
+            return;
         };
         self.round += 1;
-        self.batches_since_journal = 0;
         self.cfg
             .telemetry
             .count("inf2vec_pipeline_journal_writes_total", 1);
@@ -815,8 +878,14 @@ impl Pipeline {
                 ));
         }
         self.maybe_compact();
-        self.prev_commit = Some(state.pos);
-        Ok(())
+        self.prev_commit = Some(commit.pos);
+    }
+
+    /// Commits and waits for the write: the commits at idle, drain and
+    /// shutdown, which the caller may look at as soon as the call returns.
+    fn write_journal(&mut self) {
+        self.begin_commit();
+        self.settle();
     }
 
     /// Compacts the action log when it has outgrown the configured
@@ -1206,7 +1275,7 @@ impl Pipeline {
                 catch_unwind(AssertUnwindSafe(|| trainer.close_all(cfg, graph, faults)));
             match result {
                 Ok(()) => {
-                    self.write_journal()?;
+                    self.write_journal();
                     return Ok(());
                 }
                 // Recovery replays the tail of the log; the caller's next
@@ -1223,16 +1292,19 @@ impl Pipeline {
     pub fn shutdown(&mut self) -> Result<(), Inf2vecError> {
         self.tailer = None;
         self.publisher = None;
-        self.write_journal()
+        self.write_journal();
+        Ok(())
     }
 
-    /// Simulated hard crash: stops the stage threads (joining them, so
-    /// publish accounting settles and [`reconciliation`](Self::reconciliation)
-    /// is exact) but — unlike [`shutdown`](Self::shutdown) — commits no
-    /// final journal. Recovery must replay everything after the last
-    /// batch-boundary commit. Dropping the pipeline without calling this
-    /// is the same crash with unsettled counters.
+    /// Simulated hard crash: settles the commit in flight and stops the
+    /// stage threads (joining them, so publish accounting settles and
+    /// [`reconciliation`](Self::reconciliation) is exact) but — unlike
+    /// [`shutdown`](Self::shutdown) — commits no final journal. Recovery
+    /// must replay everything after the last batch-boundary commit.
+    /// Dropping the pipeline without calling this is the same crash with
+    /// unsettled publish counters.
     pub fn crash(&mut self) {
+        self.settle();
         self.dump_flight_postmortem("simulated_crash");
         self.tailer = None;
         self.publisher = None;
@@ -1367,6 +1439,15 @@ impl Pipeline {
     /// growth driven by unseen user ids in the stream.
     pub fn model_rows(&self) -> usize {
         self.trainer.online.store().len()
+    }
+}
+
+impl Drop for Pipeline {
+    /// Settles the commit in flight, so a pipeline dropped without
+    /// [`shutdown`](Pipeline::shutdown) leaves the journal of the last
+    /// batch boundary, as the synchronous write did.
+    fn drop(&mut self) {
+        self.settle();
     }
 }
 
@@ -1796,6 +1877,77 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Every call a caller can look after, and a plain drop, settles the
+    /// commit in flight: the journal then holds the trainer's committed
+    /// position and round and no temp file. A commit whose retry chain
+    /// is exhausted leaves its round, and so its slot, to the next one.
+    #[test]
+    fn every_exit_settles_the_commit_in_flight() {
+        let dir = tmp_dir("runner-settle");
+        let log = dir.join("actions.log");
+        write_log(&log, 4, 6);
+        let cfg = PipelineConfig {
+            journal_every_batches: 1,
+            disk_retry_backoff: Duration::from_millis(50),
+            telemetry: inf2vec_obs::Telemetry::with_registry(),
+            ..small_cfg()
+        };
+        // The first commit exhausts its retry chain; every later one fails
+        // its first attempt, so its writer is still in its backoff sleep
+        // when an exit that did not settle would return.
+        let disk = u64::from(cfg.disk_max_attempts);
+        let faults = (1..=disk).chain((disk + 1..).step_by(2).take(1000));
+        let journal_dir = dir.join("journal");
+        let mut p = Pipeline::with_runtime(
+            cfg.clone(),
+            &log,
+            &journal_dir,
+            ring_graph(6),
+            Arc::new(CountingSink::new()),
+            system_clock(),
+            Arc::new(FaultPlan::none().with(Fault::JournalWrite, faults)),
+        )
+        .unwrap();
+        let journal = Journal::new(&journal_dir).unwrap();
+        let settled = |pos: TailPosition, next_round: u64| {
+            let state = journal.load_latest().unwrap().expect("a slot is committed");
+            assert_eq!((state.pos, state.round + 1), (pos, next_round));
+            let temps: Vec<_> = std::fs::read_dir(&journal_dir)
+                .unwrap()
+                .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+                .filter(|name| name.contains(".tmp."))
+                .collect();
+            assert!(temps.is_empty(), "temp files left behind: {temps:?}");
+        };
+
+        p.begin_commit();
+        p.write_journal();
+        assert_eq!(p.round, 1, "the exhausted commit did not advance the round");
+        settled(p.position(), 1); // the next commit wrote round 0
+
+        p.run_until_idle().unwrap();
+        settled(p.position(), p.round);
+        let metrics = cfg.telemetry.snapshot();
+        let count = |name: &str| metrics.counter_value(name, &[]);
+        assert_eq!(count("inf2vec_pipeline_journal_writes_skipped_total"), 1);
+        assert_eq!(count("inf2vec_pipeline_journal_writes_total"), p.round);
+
+        // Each exit below starts with a boundary commit in flight.
+        let round = p.round;
+        p.begin_commit();
+        p.drain_open_episodes().unwrap();
+        assert_eq!(p.round, round + 2, "the commit in flight, then the drain's");
+        settled(p.position(), p.round);
+        p.begin_commit();
+        p.crash();
+        assert_eq!(p.round, round + 3);
+        settled(p.position(), p.round);
+        p.begin_commit();
+        let (pos, next_round) = (p.position(), p.round + 1);
+        drop(p);
+        settled(pos, next_round);
     }
 
     #[test]

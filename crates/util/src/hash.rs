@@ -83,12 +83,36 @@ impl Hasher for FxHasher {
 /// Unlike [`FxHasher`] it is byte-order independent and trivially
 /// reimplementable by external tooling that wants to verify files.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    let mut h = Fnv1a::default();
+    h.update(bytes);
+    h.finish()
+}
+
+/// Incremental [`fnv1a`]: feeding a byte stream in any split gives the
+/// checksum of the whole, so a file can be checksummed as it is written.
+#[derive(Debug, Clone, Copy)]
+pub struct Fnv1a(u64);
+
+impl Default for Fnv1a {
+    fn default() -> Self {
+        Self(0xcbf2_9ce4_8422_2325)
     }
-    h
+}
+
+impl Fnv1a {
+    /// Folds `bytes` into the state.
+    #[inline]
+    pub fn update(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= b as u64;
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    /// The checksum of every byte folded in so far.
+    pub fn finish(&self) -> u64 {
+        self.0
+    }
 }
 
 /// Convenience constructor: an empty `FxHashMap`.
@@ -144,6 +168,19 @@ mod tests {
         b.write_u64(u64::from_le_bytes([1, 2, 3, 4, 5, 6, 7, 8]));
         b.write_u64(9);
         assert_eq!(a.finish(), b.finish());
+    }
+
+    #[test]
+    fn fnv1a_matches_reference_vectors_in_any_split() {
+        // Published FNV-1a 64 test vectors.
+        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a(b"foobar"), 0x8594_4171_f739_67e8);
+        let mut h = Fnv1a::default();
+        for part in [&b"fo"[..], b"", b"oba", b"r"] {
+            h.update(part);
+        }
+        assert_eq!(h.finish(), fnv1a(b"foobar"));
     }
 
     #[test]

@@ -55,7 +55,7 @@ pub use error::{
     TrainError,
 };
 pub use fsio::atomic_write;
-pub use hash::{fnv1a, FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
+pub use hash::{fnv1a, Fnv1a, FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use rng::{split_seed, SplitMix64, Xoshiro256pp};
 pub use sigmoid::SigmoidTable;
 pub use stats::{welch_t_test, RunningStats, Summary};

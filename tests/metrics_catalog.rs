@@ -20,6 +20,7 @@ use inf2vec::eval::runner::observe_evaluation;
 use inf2vec::graph::io::write_edge_list;
 use inf2vec::ingest::{ErrorPolicy, IngestConfig, Ingestor};
 use inf2vec::obs::Telemetry;
+use inf2vec::pipeline::{CountingSink, Pipeline, PipelineConfig};
 use inf2vec::serve::{
     BatchConfig, Batcher, Frontend, FrontendConfig, ScoringService, ServeConfig,
 };
@@ -92,6 +93,29 @@ fn drive_stack(telemetry: &Telemetry) {
 
     // Evaluation timing shim.
     observe_evaluation(telemetry, "catalog_check", || ());
+
+    // The continuous-learning pipeline over the same actions, committing
+    // the journal every batch so a commit waits on the one in flight.
+    let log = scratch("actions.log");
+    std::fs::write(&log, &actions).unwrap();
+    let journal = scratch("journal");
+    let _ = std::fs::remove_dir_all(&journal);
+    let mut pipeline = Pipeline::open(
+        PipelineConfig {
+            journal_every_batches: 1,
+            telemetry: telemetry.clone(),
+            ..PipelineConfig::default()
+        },
+        &log,
+        &journal,
+        Arc::new(synth.dataset.graph.clone()),
+        Arc::new(CountingSink::new()),
+    )
+    .expect("open the pipeline");
+    pipeline.run_until_idle().expect("replay the log");
+    pipeline.drain_open_episodes().expect("drain");
+    pipeline.shutdown().expect("shut down");
+    pipeline.reconciliation();
 
     // The serving plane over a real socket: service, batcher, and
     // front-end series, including an error response and a request that
