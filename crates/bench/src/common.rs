@@ -100,16 +100,9 @@ pub struct Opts {
     /// Bind address for the network front-end: `serve --listen ADDR`
     /// runs a long-lived scoring server instead of the chaos scenario.
     pub listen: Option<String>,
-    /// Closed-loop client connections for `serve-load` (`--load-conns`).
-    pub load_conns: usize,
-    /// Load-run duration in seconds (`--load-seconds`); also bounds a
-    /// `serve --listen` server's lifetime when set.
+    /// Bounds a `serve --listen` server's lifetime in seconds
+    /// (`--load-seconds`); unset, it serves until killed.
     pub load_seconds: Option<f64>,
-    /// Destination for the serve-load report JSON (`--load-report`).
-    pub load_report: Option<PathBuf>,
-    /// Destination for the serve perf-trajectory JSON
-    /// (`--serve-bench`): throughput + p50/p99/p999 (`BENCH_serve.json`).
-    pub serve_bench: Option<PathBuf>,
     /// Trace-stamped JSONL file for the `trace` command (`--trace-jsonl`).
     pub trace_jsonl: Option<PathBuf>,
     /// Record sequence number to narrate in the `trace` command
@@ -150,10 +143,7 @@ impl Default for Opts {
             soak_bench: None,
             introspect: None,
             listen: None,
-            load_conns: 8,
             load_seconds: None,
-            load_report: None,
-            serve_bench: None,
             trace_jsonl: None,
             trace_record: None,
         }

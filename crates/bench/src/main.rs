@@ -13,9 +13,6 @@
 //!                  reconcile outcome tallies against the metrics,
 //!                  writing --serve-report JSON; with --listen ADDR,
 //!                  run the long-lived HTTP scoring server instead
-//!   serve-load     closed-loop HTTP load run against a self-hosted
-//!                  front-end under the chaos schedule, reconciling
-//!                  every wire outcome and writing --serve-bench JSON
 //!   soak           run the crash/recover pipeline soak with fault
 //!                  injection and reconcile every record, writing
 //!                  --soak-report JSON; --wall-clock S cycles against
@@ -51,7 +48,6 @@ mod ablate;
 mod common;
 mod figures;
 mod ingest;
-mod load;
 mod oracle;
 mod restore;
 mod serve;
@@ -200,23 +196,12 @@ fn main() {
             "--listen" => {
                 opts.listen = Some(take_value(&mut i));
             }
-            "--load-conns" => {
-                opts.load_conns = take_value(&mut i)
-                    .parse()
-                    .unwrap_or_else(|_| die("--load-conns expects an integer"));
-            }
             "--load-seconds" => {
                 opts.load_seconds = Some(
                     take_value(&mut i)
                         .parse()
                         .unwrap_or_else(|_| die("--load-seconds expects a number")),
                 );
-            }
-            "--load-report" => {
-                opts.load_report = Some(take_value(&mut i).into());
-            }
-            "--serve-bench" => {
-                opts.serve_bench = Some(take_value(&mut i).into());
             }
             "--trace-jsonl" => {
                 opts.trace_jsonl = Some(take_value(&mut i).into());
@@ -293,7 +278,6 @@ fn run_command(cmd: &str, opts: &Opts) {
         "oracle" => oracle::oracle(opts),
         "ingest" => ingest::ingest(opts),
         "serve" => serve::serve(opts),
-        "serve-load" => load::serve_load(opts),
         "soak" => soak::soak(opts),
         "restore" => restore::restore(opts),
         "verify-archive" => restore::verify_archive(opts),
@@ -327,7 +311,7 @@ fn print_help() {
          commands: table1 table2 table3 table4 table5 table6\n\
                    fig1 fig2 fig3 fig6 fig7 fig8 fig9\n\
                    ablate-alpha ablate-bias ablate-restart ablate-regen ablate\n\
-                   oracle ingest serve serve-load soak restore verify-archive all\n\n\
+                   oracle ingest serve soak restore verify-archive all\n\n\
          ingest:   repro ingest --edges FILE --actions FILE\n\
                    [--on-error strict|skip|repair] [--max-errors N]\n\
                    [--ingest-report FILE]  load a real dataset through the\n\
@@ -338,16 +322,8 @@ fn print_help() {
                    snapshot faults and reconcile every outcome tally;\n\
                    with --listen ADDR (e.g. 127.0.0.1:7878), run the\n\
                    HTTP/1.1 scoring front-end instead — POST /v1/rank\n\
-                   /v1/score /v1/score_active, GET /metrics /healthz —\n\
-                   until killed (or for --load-seconds S)\n\n\
-         serve-load: repro serve-load [--load-conns N] [--load-seconds S]\n\
-                   [--serve-workers N] [--serve-policy P]\n\
-                   [--load-report FILE] [--serve-bench FILE]\n\
-                   drive closed-loop keep-alive HTTP load against a\n\
-                   self-hosted front-end while the chaos schedule\n\
-                   hot-swaps and breaks the model underneath; every\n\
-                   wire outcome must reconcile exactly against the\n\
-                   metrics; --serve-bench writes BENCH_serve.json\n\n\
+                   /v1/score /v1/score_active, GET /metrics /healthz\n\
+                   /debug/flight — until killed (or for --load-seconds S)\n\n\
          soak:     repro soak [--long] [--soak-cycles N] [--soak-records N]\n\
                    [--soak-budget-bytes N] [--wall-clock S]\n\
                    [--soak-report FILE] [--soak-bench FILE]\n\

@@ -37,7 +37,6 @@ pub use corpus::InfluenceContextSource;
 pub use stream::episode_pairs;
 pub use model::Inf2vecModel;
 pub use train::{
-    resume_from_checkpoint, select_alpha, train, train_incremental, train_on_pairs,
-    train_resumable, try_select_alpha, try_train, try_train_incremental, try_train_on_pairs,
-    CheckpointConfig, FaultTolerance,
+    resume_from_checkpoint, select_alpha, train, train_on_pairs, train_resumable,
+    try_select_alpha, try_train, try_train_on_pairs, CheckpointConfig, FaultTolerance,
 };

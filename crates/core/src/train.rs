@@ -137,79 +137,6 @@ pub fn try_train_on_pairs(
     Ok(run_sgns(n_nodes, &source, &negatives, config)?.0)
 }
 
-/// Continues training an existing model on additional episodes (online
-/// updates as fresh diffusion data arrives — beyond the paper, which
-/// trains in one batch).
-///
-/// The model's parameters are updated in place from the new episodes'
-/// influence contexts; dimension `K` comes from the model, everything else
-/// from `config`.
-///
-/// # Panics
-///
-/// Panicking wrapper over [`try_train_incremental`]: panics if the model
-/// was trained over a different node universe or `config.k` disagrees with
-/// the model's dimension.
-pub fn train_incremental(
-    model: &mut Inf2vecModel,
-    dataset: &Dataset,
-    episode_idx: &[usize],
-    config: &Inf2vecConfig,
-) -> TrainReport {
-    try_train_incremental(model, dataset, episode_idx, config).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fallible variant of [`train_incremental`].
-pub fn try_train_incremental(
-    model: &mut Inf2vecModel,
-    dataset: &Dataset,
-    episode_idx: &[usize],
-    config: &Inf2vecConfig,
-) -> Result<TrainReport, Inf2vecError> {
-    config.validate()?;
-    if model.store.len() != dataset.graph.node_count() as usize {
-        return Err(TrainError::ShapeMismatch {
-            what: "model/node-universe mismatch",
-            expected: dataset.graph.node_count() as usize,
-            found: model.store.len(),
-        }
-        .into());
-    }
-    if config.k != model.store.k() {
-        return Err(TrainError::ShapeMismatch {
-            what: "config K disagrees with the model",
-            expected: model.store.k(),
-            found: config.k,
-        }
-        .into());
-    }
-    let nets = PropagationNetwork::build_all(
-        &dataset.graph,
-        episode_idx.iter().map(|&i| &dataset.log.episodes()[i]),
-        &config.telemetry,
-    );
-    let source = InfluenceContextSource::new(nets, config);
-    let negatives =
-        NegativeTable::from_counts(&source.context_target_counts(model.store.len()));
-    let trainer = SgnsTrainer::try_new(SgnsConfig {
-        negatives: config.negatives,
-        lr: config.lr,
-        lr_min: config.lr,
-        epochs: config.epochs,
-        threads: config.threads,
-        seed: split_seed(config.seed, 0x263),
-    })?;
-    trainer.try_train_with(
-        &model.store,
-        &source,
-        &negatives,
-        TrainOptions {
-            telemetry: config.telemetry.clone(),
-            ..TrainOptions::default()
-        },
-    )
-}
-
 /// Selects the component weight α on the tuning split, mirroring the
 /// paper's §V-A2 procedure ("based on the empirical study on tuning set,
 /// we set the default component weight α = 0.1").
@@ -595,70 +522,6 @@ mod tests {
         .inf2vec_l();
         let model = train(&dataset, &idx[..20], &config);
         assert_eq!(model.store.k(), 8);
-    }
-
-    #[test]
-    fn incremental_training_moves_parameters_and_helps() {
-        let (dataset, idx) = tiny_setup();
-        let config = Inf2vecConfig {
-            k: 16,
-            l: 15,
-            epochs: 4,
-            lr: 0.02,
-            seed: 8,
-            ..Inf2vecConfig::default()
-        };
-        // Train on the first half, continue on the second half.
-        let half = idx.len() / 2;
-        let mut model = train(&dataset, &idx[..half], &config);
-        let before = model.store.source.to_vec();
-        let report = train_incremental(&mut model, &dataset, &idx[half..], &config);
-        assert!(report.pairs_processed > 0);
-        assert_ne!(model.store.source.to_vec(), before, "no parameter movement");
-
-        // The updated model knows pairs that only occur in the second half.
-        let freq_new = pair_frequencies(
-            &dataset.graph,
-            idx[half..].iter().map(|&i| &dataset.log.episodes()[i]),
-        );
-        let mut rng = inf2vec_util::Xoshiro256pp::new(3);
-        let n = dataset.graph.node_count() as u64;
-        let mean_new: f64 = freq_new
-            .keys()
-            .map(|&(u, v)| model.score(NodeId(u), NodeId(v)) as f64)
-            .sum::<f64>()
-            / freq_new.len().max(1) as f64;
-        let mean_rand: f64 = (0..2000)
-            .map(|_| {
-                model.score(
-                    NodeId(rng.below(n) as u32),
-                    NodeId(rng.below(n) as u32),
-                ) as f64
-            })
-            .sum::<f64>()
-            / 2000.0;
-        assert!(
-            mean_new > mean_rand,
-            "new-episode pairs {mean_new:.4} not above random {mean_rand:.4}"
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "config K disagrees")]
-    fn incremental_rejects_dimension_mismatch() {
-        let (dataset, idx) = tiny_setup();
-        let config = Inf2vecConfig {
-            k: 8,
-            l: 5,
-            epochs: 1,
-            ..Inf2vecConfig::default()
-        };
-        let mut model = train(&dataset, &idx[..5], &config);
-        let bad = Inf2vecConfig {
-            k: 16,
-            ..config.clone()
-        };
-        let _ = train_incremental(&mut model, &dataset, &idx[5..6], &bad);
     }
 
     #[test]

@@ -1,49 +1,39 @@
-//! Live introspection: a zero-dependency `std::net` HTTP/1.1 endpoint.
+//! Live introspection: the obs route table on the shared
+//! [`http1::Server`](crate::http1::Server).
 //!
-//! [`IntrospectServer::start`] binds a listener and serves three routes
-//! from a background thread:
+//! [`IntrospectServer::start`] binds a listener and serves three routes:
 //!
 //! - `GET /metrics` — the Prometheus text exposition of the handle's
 //!   registry (content type `text/plain; version=0.0.4`).
 //! - `GET /healthz` — evaluates the configured [`HealthPolicy`] against a
-//!   fresh snapshot and returns the JSON [`HealthReport`]; HTTP 200 for
-//!   `ok`/`degraded`, 503 for `failing`.
+//!   fresh snapshot and returns the JSON [`HealthReport`](crate::HealthReport);
+//!   HTTP 200 for `ok`/`degraded`, 503 for `failing`.
 //! - `GET /debug/flight` — the flight-recorder ring contents as JSONL,
 //!   oldest first.
 //!
-//! The listener is non-blocking and polled with an exponential
-//! [`IdleBackoff`](crate::http1::IdleBackoff), so [`IntrospectServer::stop`]
-//! (or drop) shuts the thread down promptly without needing a wake-up
-//! connection while an idle endpoint costs only a few wake-ups per
-//! second. One request per connection (`Connection: close`) keeps the
-//! loop single-threaded and allocation-light — this is a diagnostics
-//! surface, not a serving plane. Request parsing and response writing
-//! live in the shared [`crate::http1`] module, which the scoring
-//! front-end in `inf2vec-serve` reuses.
+//! `/metrics` and `/debug/flight` are [`telemetry_routes`], which the
+//! scoring front-end in `inf2vec-serve` mounts beside its own routes.
+//! Connections, keep-alive, protocol errors and shutdown are the
+//! server's: a client trickling a request holds only its own handler
+//! thread, never the endpoint.
 
-use std::io::ErrorKind;
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::net::SocketAddr;
 use std::time::Duration;
 
 use crate::health::{HealthEvaluator, HealthPolicy, HealthState};
-use crate::http1::{Connection, Http1Config, IdleBackoff};
+use crate::http1::{error_response, Http1Config, Request, Response, Server, JSON};
 use crate::Telemetry;
 
-/// A running introspection endpoint; stops on [`stop`](Self::stop) or drop.
-pub struct IntrospectServer {
-    addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    thread: Option<std::thread::JoinHandle<()>>,
-}
+/// Concurrent connections the endpoint serves; a diagnostics surface
+/// has a handful of scrapers.
+const MAX_CONNECTIONS: usize = 16;
+/// How long a quiet keep-alive scraper connection is held.
+const IDLE_TIMEOUT: Duration = Duration::from_secs(10);
 
-impl std::fmt::Debug for IntrospectServer {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("IntrospectServer")
-            .field("addr", &self.addr)
-            .finish_non_exhaustive()
-    }
+/// A running introspection endpoint; stops on [`stop`](Self::stop) or drop.
+#[derive(Debug)]
+pub struct IntrospectServer {
+    server: Server,
 }
 
 impl IntrospectServer {
@@ -54,135 +44,81 @@ impl IntrospectServer {
         telemetry: Telemetry,
         policy: HealthPolicy,
     ) -> std::io::Result<Self> {
-        let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
-        let local = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop2 = Arc::clone(&stop);
+        let http = Http1Config {
+            max_body_bytes: 4 * 1024, // GET-only surface; bodies are ignored.
+            ..Http1Config::default()
+        };
         let evaluator = HealthEvaluator::new(policy, telemetry.clock());
-        let thread = std::thread::Builder::new()
-            .name("inf2vec-introspect".to_string())
-            .spawn(move || serve_loop(listener, telemetry, evaluator, stop2))?;
-        Ok(Self {
-            addr: local,
-            stop,
-            thread: Some(thread),
-        })
+        let routes = telemetry.clone();
+        let server = Server::start(
+            addr,
+            telemetry,
+            http,
+            MAX_CONNECTIONS,
+            IDLE_TIMEOUT,
+            move |req| route(req, &routes, &evaluator),
+        )?;
+        Ok(Self { server })
     }
 
     /// The bound address (useful with port 0).
     pub fn local_addr(&self) -> SocketAddr {
-        self.addr
+        self.server.local_addr()
     }
 
-    /// Signals the serving thread to exit and joins it.
-    pub fn stop(mut self) {
-        self.shutdown();
-    }
-
-    fn shutdown(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        if let Some(t) = self.thread.take() {
-            let _ = t.join();
-        }
+    /// Stops accepting, drains open connections, joins.
+    pub fn stop(self) {
+        self.server.stop();
     }
 }
 
-impl Drop for IntrospectServer {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
-fn serve_loop(
-    listener: TcpListener,
-    telemetry: Telemetry,
-    evaluator: HealthEvaluator,
-    stop: Arc<AtomicBool>,
-) {
-    let mut backoff = IdleBackoff::for_accept_loop();
-    while !stop.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                backoff.reset();
-                // Diagnostics endpoint: serve inline, one request at a time.
-                let _ = handle_connection(stream, &telemetry, &evaluator);
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => backoff.idle(),
-            Err(_) => backoff.idle(),
-        }
-    }
-}
-
-fn handle_connection(
-    stream: TcpStream,
-    telemetry: &Telemetry,
-    evaluator: &HealthEvaluator,
-) -> std::io::Result<()> {
-    let cfg = Http1Config {
-        max_head_bytes: 8 * 1024,
-        max_body_bytes: 4 * 1024, // GET-only surface; bodies are ignored.
-        read_timeout: Duration::from_millis(500),
-        write_timeout: Duration::from_secs(2),
-    };
-    let mut conn = Connection::new(stream, cfg)?;
-    let request = match conn.read_request() {
-        Ok(r) => r,
-        Err(e) => {
-            if let Some(status) = e.status() {
-                let body = format!("{e}\n");
-                let _ = conn.respond(status, "text/plain; charset=utf-8", body.as_bytes(), false);
-            }
-            return Ok(());
-        }
-    };
-    let (status, content_type, body) = if request.method != "GET" {
-        (
+fn route(req: &Request, telemetry: &Telemetry, evaluator: &HealthEvaluator) -> Response {
+    if req.method != "GET" {
+        return error_response(
             "405 Method Not Allowed",
-            "text/plain; charset=utf-8",
-            format!(
-                "method {} not allowed; this endpoint is GET-only\n",
-                request.method
-            ),
+            "bad_request",
+            "this endpoint is GET-only",
+        );
+    }
+    if req.path == "/healthz" {
+        let report = evaluator.evaluate(telemetry.snapshot());
+        let status = match report.state {
+            HealthState::Failing => "503 Service Unavailable",
+            _ => "200 OK",
+        };
+        return (status, JSON, report.to_json());
+    }
+    telemetry_routes(telemetry, req).unwrap_or_else(|| {
+        error_response(
+            "404 Not Found",
+            "bad_request",
+            "no such route; see GET /metrics /healthz /debug/flight",
         )
-    } else {
-        route(&request.path, telemetry, evaluator)
-    };
-    conn.respond(status, content_type, body.as_bytes(), false)
+    })
 }
 
-fn route(
-    path: &str,
-    telemetry: &Telemetry,
-    evaluator: &HealthEvaluator,
-) -> (&'static str, &'static str, String) {
-    match path {
-        "/metrics" => (
+/// `GET /metrics` (Prometheus text) and `GET /debug/flight` (the flight
+/// ring as JSONL, oldest first) for `telemetry`; `None` for any other
+/// request.
+pub fn telemetry_routes(telemetry: &Telemetry, req: &Request) -> Option<Response> {
+    if req.method != "GET" {
+        return None;
+    }
+    match req.path.as_str() {
+        "/metrics" => Some((
             "200 OK",
             "text/plain; version=0.0.4; charset=utf-8",
             telemetry.prometheus(),
-        ),
-        "/healthz" => {
-            let report = evaluator.evaluate(telemetry.snapshot());
-            let status = match report.state {
-                HealthState::Failing => "503 Service Unavailable",
-                _ => "200 OK",
-            };
-            (status, "application/json; charset=utf-8", report.to_json())
-        }
+        )),
         "/debug/flight" => {
             let mut body = String::new();
             for e in telemetry.flight_events() {
                 body.push_str(&e.to_json());
                 body.push('\n');
             }
-            ("200 OK", "application/x-ndjson; charset=utf-8", body)
+            Some(("200 OK", "application/x-ndjson; charset=utf-8", body))
         }
-        _ => (
-            "404 Not Found",
-            "text/plain; charset=utf-8",
-            "not found; routes: /metrics /healthz /debug/flight\n".to_string(),
-        ),
+        _ => None,
     }
 }
 
@@ -191,10 +127,19 @@ mod tests {
     use super::*;
     use crate::{Event, Rule};
     use std::io::{Read, Write};
+    use std::net::TcpStream;
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::mpsc;
+    use std::time::Instant;
 
+    /// One GET on its own connection, read to EOF (`Connection: close`).
     fn get(addr: SocketAddr, path: &str) -> (String, String) {
         let mut stream = TcpStream::connect(addr).unwrap();
-        write!(stream, "GET {path} HTTP/1.1\r\nHost: x\r\n\r\n").unwrap();
+        write!(
+            stream,
+            "GET {path} HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n"
+        )
+        .unwrap();
         let mut out = String::new();
         stream.read_to_string(&mut out).unwrap();
         let (head, body) = out.split_once("\r\n\r\n").unwrap();
@@ -242,9 +187,50 @@ mod tests {
             IntrospectServer::start("127.0.0.1:0", t, HealthPolicy::new()).unwrap();
         let addr = server.local_addr();
         let mut stream = TcpStream::connect(addr).unwrap();
-        write!(stream, "POST /metrics HTTP/1.1\r\nHost: x\r\n\r\n").unwrap();
+        write!(
+            stream,
+            "POST /metrics HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n"
+        )
+        .unwrap();
         let mut out = String::new();
         stream.read_to_string(&mut out).unwrap();
         assert!(out.starts_with("HTTP/1.1 405"), "{out}");
+    }
+
+    /// A client trickling its request head holds its own connection, not
+    /// the endpoint: `/healthz` still answers at once.
+    #[test]
+    fn trickling_client_does_not_hold_healthz() {
+        let t = Telemetry::with_registry();
+        let server = IntrospectServer::start("127.0.0.1:0", t, HealthPolicy::new()).unwrap();
+        let addr = server.local_addr();
+        let done = AtomicBool::new(false);
+        let (sent, first_bytes) = mpsc::channel();
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                let mut stream = TcpStream::connect(addr).unwrap();
+                for (i, b) in b"GET /metrics HTTP/1.1\r\nHost: trickle.example\r\n\r\n"
+                    .iter()
+                    .enumerate()
+                {
+                    if done.load(Ordering::SeqCst) || stream.write_all(&[*b]).is_err() {
+                        break;
+                    }
+                    if i == 1 {
+                        // Connected for 300 ms: long past the accept poll.
+                        sent.send(()).unwrap();
+                    }
+                    std::thread::sleep(Duration::from_millis(300));
+                }
+            });
+            first_bytes.recv().unwrap();
+            let started = Instant::now();
+            let (status, body) = get(addr, "/healthz");
+            let waited = started.elapsed();
+            done.store(true, Ordering::SeqCst);
+            assert_eq!(status, "HTTP/1.1 200 OK", "{body}");
+            assert!(waited < Duration::from_secs(1), "/healthz waited {waited:?}");
+        });
+        server.stop();
     }
 }

@@ -2,8 +2,21 @@
 //!
 //! Both HTTP surfaces in the workspace — the diagnostics
 //! [`IntrospectServer`](crate::IntrospectServer) and the scoring
-//! front-end in `inf2vec-serve` — speak the same small subset of
-//! HTTP/1.1, and this module is the single implementation of it:
+//! front-end in `inf2vec-serve` — run on this module's [`Server`]. The
+//! caller supplies a route function from [`Request`] to [`Response`];
+//! the server owns everything else:
+//!
+//! - a non-blocking accept loop, polled with the exponential
+//!   [`IdleBackoff`] so `stop` is prompt and an idle server is quiet,
+//!   which refuses connections beyond `max_connections` (503 + close);
+//! - one handler thread per connection, keep-alive, and the idle timeout
+//!   counted from the last response;
+//! - answers to requests that never parse as HTTP, in the JSON error
+//!   envelope of [`error_response`], and the `inf2vec_frontend_*` series
+//!   of [`metrics`];
+//! - a shutdown drain bounded by `write_timeout + idle_timeout`.
+//!
+//! Underneath, the server speaks a small subset of HTTP/1.1:
 //!
 //! - [`Connection::read_request`] reads one request (head + optional
 //!   `Content-Length` body) with hard byte caps on both, surviving torn
@@ -21,8 +34,37 @@
 //! (`Content-Length`, `Connection`, `Transfer-Encoding`).
 
 use std::io::{ErrorKind, Read, Write};
-use std::net::TcpStream;
-use std::time::Duration;
+use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
+
+use inf2vec_util::json::push_json_string;
+
+use crate::Telemetry;
+
+/// Metric names the [`Server`] registers (all under `inf2vec_frontend_`).
+pub mod metrics {
+    /// Counter: accepted connections.
+    pub const CONNECTIONS_TOTAL: &str = "inf2vec_frontend_connections_total";
+    /// Gauge: connections currently open.
+    pub const CONNECTIONS_ACTIVE: &str = "inf2vec_frontend_connections_active";
+    /// Counter: connections refused over the `max_connections` cap.
+    pub const CONNECTIONS_REFUSED_TOTAL: &str = "inf2vec_frontend_connections_refused_total";
+    /// Counter, labelled `code=<status>`: one increment per HTTP response.
+    pub const HTTP_REQUESTS_TOTAL: &str = "inf2vec_frontend_http_requests_total";
+    /// Counter, labelled `reason=<protocol failure>`: requests that never
+    /// parsed as HTTP (malformed, oversized, torn, unsupported framing).
+    pub const PROTOCOL_ERRORS_TOTAL: &str = "inf2vec_frontend_protocol_errors_total";
+    /// Histogram: wall-clock seconds per HTTP request, wire to wire
+    /// (parse + route + response write).
+    pub const REQUEST_SECONDS: &str = "inf2vec_frontend_request_seconds";
+    /// Counter: shutdown drains that hit the hard deadline
+    /// (`write_timeout + idle_timeout`) with handler threads still
+    /// open. The drain stops waiting; the leftover threads still exit
+    /// on their own within a socket timeout.
+    pub const DRAIN_ABORTED_TOTAL: &str = "inf2vec_frontend_drain_aborted_total";
+}
 
 /// Byte/timeout budget for one connection.
 #[derive(Debug, Clone)]
@@ -338,10 +380,236 @@ impl IdleBackoff {
     }
 }
 
+/// A route's answer: status phrase (e.g. `"200 OK"`), content type, body.
+pub type Response = (&'static str, &'static str, String);
+
+/// The content type of every JSON answer.
+pub const JSON: &str = "application/json; charset=utf-8";
+
+/// The JSON error envelope `{"error":{"outcome":…,"message":…}}` under
+/// `status`.
+pub fn error_response(status: &'static str, outcome: &str, message: &str) -> Response {
+    let mut body = String::with_capacity(64 + message.len());
+    body.push_str("{\"error\":{\"outcome\":");
+    push_json_string(&mut body, outcome);
+    body.push_str(",\"message\":");
+    push_json_string(&mut body, message);
+    body.push_str("}}");
+    (status, JSON, body)
+}
+
+/// What the accept loop and every handler thread share.
+struct Shared {
+    telemetry: Telemetry,
+    http: Http1Config,
+    max_connections: usize,
+    idle_timeout: Duration,
+    route: Box<dyn Fn(&Request) -> Response + Send + Sync>,
+    stop: AtomicBool,
+    active: AtomicUsize,
+}
+
+/// A running HTTP/1.1 server; stops on [`stop`](Self::stop) or drop.
+pub struct Server {
+    addr: SocketAddr,
+    shared: Arc<Shared>,
+    accept_thread: Option<std::thread::JoinHandle<()>>,
+}
+
+impl std::fmt::Debug for Server {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Server")
+            .field("addr", &self.addr)
+            .finish_non_exhaustive()
+    }
+}
+
+impl Server {
+    /// Binds `addr` (port 0 for ephemeral) and answers every request
+    /// with `route`. At most `max_connections` connections are served at
+    /// once; a quiet keep-alive connection is closed `idle_timeout` after
+    /// its last response (or its opening, before the first request). The
+    /// [`metrics`] series are recorded through `telemetry`.
+    pub fn start(
+        addr: &str,
+        telemetry: Telemetry,
+        http: Http1Config,
+        max_connections: usize,
+        idle_timeout: Duration,
+        route: impl Fn(&Request) -> Response + Send + Sync + 'static,
+    ) -> std::io::Result<Self> {
+        let listener = TcpListener::bind(addr)?;
+        listener.set_nonblocking(true)?;
+        let addr = listener.local_addr()?;
+        let shared = Arc::new(Shared {
+            telemetry,
+            http,
+            max_connections,
+            idle_timeout,
+            route: Box::new(route),
+            stop: AtomicBool::new(false),
+            active: AtomicUsize::new(0),
+        });
+        let accept_thread = {
+            let shared = Arc::clone(&shared);
+            std::thread::Builder::new()
+                .name("inf2vec-http".to_string())
+                .spawn(move || accept_loop(listener, shared))?
+        };
+        Ok(Self {
+            addr,
+            shared,
+            accept_thread: Some(accept_thread),
+        })
+    }
+
+    /// The bound address (useful with port 0).
+    pub fn local_addr(&self) -> SocketAddr {
+        self.addr
+    }
+
+    /// Stops accepting, waits for open connections to drain, joins.
+    ///
+    /// The drain is bounded by a hard deadline of
+    /// `http.write_timeout + idle_timeout`; if handler threads are
+    /// still open past it, `inf2vec_frontend_drain_aborted_total` is
+    /// incremented and shutdown returns anyway.
+    pub fn stop(mut self) {
+        self.shutdown();
+    }
+
+    fn shutdown(&mut self) {
+        let Some(accept_thread) = self.accept_thread.take() else {
+            return; // already drained (stop() ran; this is the drop)
+        };
+        let shared = &self.shared;
+        shared.stop.store(true, Ordering::SeqCst);
+        let _ = accept_thread.join();
+        // Handler threads exit within one socket timeout of the stop
+        // flag; wait for them so tests and shutdown don't race open
+        // sockets. A handler needs at most one socket timeout to finish
+        // its current write plus the idle grace it grants quiet
+        // keep-alives; anything still open past that is wedged and not
+        // worth blocking shutdown on.
+        let deadline = Instant::now() + shared.http.write_timeout + shared.idle_timeout;
+        while shared.active.load(Ordering::SeqCst) > 0 && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        if shared.active.load(Ordering::SeqCst) > 0 {
+            shared.telemetry.count(metrics::DRAIN_ABORTED_TOTAL, 1);
+        }
+    }
+}
+
+impl Drop for Server {
+    fn drop(&mut self) {
+        self.shutdown();
+    }
+}
+
+fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
+    let telemetry = &shared.telemetry;
+    let mut backoff = IdleBackoff::for_accept_loop();
+    while !shared.stop.load(Ordering::SeqCst) {
+        // `WouldBlock` when idle; `EMFILE` and other transient errors
+        // back off the same way rather than spin.
+        let Ok((stream, _)) = listener.accept() else {
+            backoff.idle();
+            continue;
+        };
+        backoff.reset();
+        if shared.active.load(Ordering::SeqCst) >= shared.max_connections {
+            telemetry.count(metrics::CONNECTIONS_REFUSED_TOTAL, 1);
+            if let Ok(mut conn) = Connection::new(stream, shared.http.clone()) {
+                let (status, content_type, body) = error_response(
+                    "503 Service Unavailable",
+                    "unavailable",
+                    "connection limit reached",
+                );
+                let _ = conn.respond(status, content_type, body.as_bytes(), false);
+            }
+            continue;
+        }
+        telemetry.count(metrics::CONNECTIONS_TOTAL, 1);
+        shared.active.fetch_add(1, Ordering::SeqCst);
+        telemetry.gauge_set(
+            metrics::CONNECTIONS_ACTIVE,
+            shared.active.load(Ordering::SeqCst) as f64,
+        );
+        let conn_shared = Arc::clone(&shared);
+        let spawned = std::thread::Builder::new()
+            .name("inf2vec-http-conn".to_string())
+            .spawn(move || {
+                serve_connection(stream, &conn_shared);
+                conn_shared.active.fetch_sub(1, Ordering::SeqCst);
+                conn_shared.telemetry.gauge_set(
+                    metrics::CONNECTIONS_ACTIVE,
+                    conn_shared.active.load(Ordering::SeqCst) as f64,
+                );
+            });
+        if spawned.is_err() {
+            shared.active.fetch_sub(1, Ordering::SeqCst);
+        }
+    }
+}
+
+fn serve_connection(stream: TcpStream, shared: &Shared) {
+    let telemetry = &shared.telemetry;
+    let Ok(mut conn) = Connection::new(stream, shared.http.clone()) else {
+        return;
+    };
+    // When the connection last went quiet: at open, then after each
+    // response.
+    let mut quiet_since = Instant::now();
+    while !shared.stop.load(Ordering::SeqCst) {
+        let request = match conn.read_request() {
+            Ok(r) => r,
+            // Quiet keep-alive connection: hold it up to the idle
+            // budget, then close without an error response.
+            Err(ReadError::Timeout) if quiet_since.elapsed() < shared.idle_timeout => continue,
+            Err(ReadError::Timeout | ReadError::Closed) => return,
+            Err(e) => {
+                telemetry.count_with(
+                    metrics::PROTOCOL_ERRORS_TOTAL,
+                    &[("reason", protocol_error_reason(&e))],
+                    1,
+                );
+                if let Some(status) = e.status() {
+                    let (_, content_type, body) =
+                        error_response(status, "bad_request", &e.to_string());
+                    let _ = conn.respond(status, content_type, body.as_bytes(), false);
+                }
+                return;
+            }
+        };
+        let started = Instant::now();
+        let (status, content_type, body) = (shared.route)(&request);
+        telemetry.count_with(metrics::HTTP_REQUESTS_TOTAL, &[("code", &status[..3])], 1);
+        let write = conn.respond(status, content_type, body.as_bytes(), request.keep_alive);
+        telemetry.observe(metrics::REQUEST_SECONDS, started.elapsed().as_secs_f64());
+        if write.is_err() || !request.keep_alive {
+            return;
+        }
+        quiet_since = Instant::now();
+    }
+}
+
+fn protocol_error_reason(e: &ReadError) -> &'static str {
+    match e {
+        ReadError::Closed => "closed",
+        ReadError::Timeout => "timeout",
+        ReadError::Torn => "torn",
+        ReadError::HeadTooLarge(_) => "head_too_large",
+        ReadError::BodyTooLarge(_) => "body_too_large",
+        ReadError::Malformed(_) => "malformed",
+        ReadError::Unsupported(_) => "unsupported",
+        ReadError::Io(_) => "io",
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::net::TcpListener;
 
     #[test]
     fn parse_head_minimal_get() {

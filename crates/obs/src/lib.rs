@@ -14,9 +14,10 @@
 //!   events of one record / episode / publish into a causal chain.
 //! - **Flight recorder** ([`FlightRecorder`]): an always-on ring of the
 //!   most recent events, dumpable as a crash postmortem.
-//! - **Introspection** ([`IntrospectServer`], [`HealthPolicy`]): a
-//!   `std::net` HTTP thread serving `/metrics`, `/healthz` (windowed-rate
-//!   health rules), and `/debug/flight`.
+//! - **Introspection** ([`IntrospectServer`], [`HealthPolicy`]):
+//!   `/metrics`, `/healthz` (windowed-rate health rules), and
+//!   `/debug/flight` on [`http1::Server`], the `std::net` HTTP/1.1 server
+//!   the scoring front-end also runs on.
 //!
 //! The only dependency is the workspace's own `inf2vec-util` (clock,
 //! seed-splitting, atomic file writes); nothing external.

@@ -501,6 +501,40 @@ mod tests {
         batcher.stop();
     }
 
+    /// `top_n` arrives off the wire unbounded: past the slate size, both
+    /// rank paths return every candidate, best first.
+    #[test]
+    fn unbounded_top_n_returns_every_candidate_best_first() {
+        let svc = service(ServeConfig::default());
+        install(&svc, 64, 8, 5);
+        let batcher = Arc::new(Batcher::start(Arc::clone(&svc), BatchConfig::default()));
+        let candidates: Vec<NodeId> = (1..40).map(NodeId).collect();
+        for top_n in [1 << 62, usize::MAX] {
+            let want = svc
+                .rank_targets(NodeId(0), &candidates, top_n, &Request::new())
+                .unwrap();
+            let mut ids: Vec<NodeId> = want.items.iter().map(|&(v, _)| v).collect();
+            ids.sort_unstable();
+            assert_eq!(ids, candidates);
+            assert!(want.items.windows(2).all(|w| w[0].1 >= w[1].1), "{want:?}");
+
+            let (tx, rx) = std::sync::mpsc::channel();
+            let caller = {
+                let (batcher, candidates) = (Arc::clone(&batcher), candidates.clone());
+                std::thread::spawn(move || {
+                    let _ = tx.send(batcher.rank(NodeId(0), candidates, top_n, &Request::new()));
+                })
+            };
+            // A panicking worker would park the caller for good: bound the wait.
+            let got = rx
+                .recv_timeout(Duration::from_secs(10))
+                .expect("Batcher::rank never answered")
+                .unwrap();
+            caller.join().unwrap();
+            assert_eq!(got, want);
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
         #[test]

@@ -24,8 +24,8 @@
 //!   their metrics exactly, and every scripted step had its expected
 //!   effect.
 //!
-//! [`run_script`] and [`reconcile`] are public: the network load
-//! generator (`repro serve-load`) replays the same script under its wire
+//! [`run_script`] and [`reconcile`] are public: the wire-level test in
+//! `tests/frontend.rs` replays the same script under keep-alive HTTP
 //! traffic and reconciles its client-side tallies the same way.
 
 use std::collections::BTreeMap;

@@ -1,5 +1,6 @@
-//! The network front-end: a zero-dependency HTTP/1.1 server on
-//! `std::net` threads in front of a [`ScoringService`] + [`Batcher`].
+//! The network front-end: the scoring routes on the shared
+//! [`inf2vec_obs::http1::Server`], in front of a [`ScoringService`] +
+//! [`Batcher`].
 //!
 //! Wire protocol (full schemas in DESIGN.md §"Network serving"):
 //!
@@ -8,64 +9,44 @@
 //! - `POST /v1/score` — `{"u", "v", ...}` → Eq. 3 pair score.
 //! - `POST /v1/score_active` — `{"v", "active", "agg"?, ...}` → Eq. 7
 //!   aggregated activation score.
-//! - `GET /metrics` — Prometheus exposition of the service's registry.
 //! - `GET /healthz` — `{"status", "model_version"}`; 503 while no model
 //!   (full or fallback) can answer.
+//! - `GET /metrics` and `GET /debug/flight` — the introspection
+//!   endpoint's [`telemetry_routes`] over the service's telemetry.
 //!
 //! Every [`ServeError`] maps onto one status code
 //! ([`status_for_outcome`]): `bad_request`→400, `overloaded`/`shed`→429,
 //! `unavailable`/`degraded_refused`→503, `deadline_exceeded`→504; error
-//! bodies are always `{"error":{"outcome":...,"message":...}}`. Protocol
-//! failures (garbage bytes, oversized heads/bodies, chunked encoding)
-//! get the bounded plain responses of
-//! [`inf2vec_obs::http1::ReadError::status`] and close the connection —
+//! bodies are always `{"error":{"outcome":...,"message":...}}`. The
+//! server answers protocol failures (garbage bytes, oversized
+//! heads/bodies, chunked encoding) per
+//! [`inf2vec_obs::http1::ReadError::status`] and closes the connection —
 //! the socket fuzz test in `tests/frontend.rs` pins that no byte
 //! sequence panics the server or elicits an unbounded reply.
 //!
-//! Connections are keep-alive; one handler thread per connection, with
-//! the accept loop refusing connections beyond
-//! [`FrontendConfig::max_connections`] (503 + close). The accept loop
-//! polls non-blocking with the shared exponential
-//! [`IdleBackoff`](inf2vec_obs::http1::IdleBackoff), so `stop` is
-//! prompt and an idle server is quiet.
+//! Connections are keep-alive, one handler thread each, and the server
+//! refuses connections beyond [`FrontendConfig::max_connections`]
+//! (503 + close).
 
-use std::io::ErrorKind;
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::net::SocketAddr;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use inf2vec_eval::aggregate::Aggregator;
 use inf2vec_graph::NodeId;
-use inf2vec_obs::http1::{Connection, Http1Config, IdleBackoff, ReadError, Request as HttpRequest};
+use inf2vec_obs::http::telemetry_routes;
+use inf2vec_obs::http1::{
+    error_response, Http1Config, Request as HttpRequest, Response, Server, JSON,
+};
 use inf2vec_util::error::ServeError;
-use inf2vec_util::json::{push_json_string, Json};
+use inf2vec_util::json::Json;
 
 use crate::batch::Batcher;
 use crate::service::{Ranked, Request, Scored, ScoringService};
 
-/// Metric names the front-end registers (all under `inf2vec_frontend_`).
-pub mod metrics {
-    /// Counter: accepted connections.
-    pub const CONNECTIONS_TOTAL: &str = "inf2vec_frontend_connections_total";
-    /// Gauge: connections currently open.
-    pub const CONNECTIONS_ACTIVE: &str = "inf2vec_frontend_connections_active";
-    /// Counter: connections refused over the `max_connections` cap.
-    pub const CONNECTIONS_REFUSED_TOTAL: &str = "inf2vec_frontend_connections_refused_total";
-    /// Counter, labelled `code=<status>`: one increment per HTTP response.
-    pub const HTTP_REQUESTS_TOTAL: &str = "inf2vec_frontend_http_requests_total";
-    /// Counter, labelled `reason=<protocol failure>`: requests that never
-    /// parsed as HTTP (malformed, oversized, torn, unsupported framing).
-    pub const PROTOCOL_ERRORS_TOTAL: &str = "inf2vec_frontend_protocol_errors_total";
-    /// Histogram: wall-clock seconds per HTTP request, wire to wire
-    /// (parse + scoring/batching + response write).
-    pub const REQUEST_SECONDS: &str = "inf2vec_frontend_request_seconds";
-    /// Counter: shutdown drains that hit the hard deadline
-    /// (`write_timeout + idle_timeout`) with handler threads still
-    /// open. The drain stops waiting; the leftover threads still exit
-    /// on their own within a socket timeout.
-    pub const DRAIN_ABORTED_TOTAL: &str = "inf2vec_frontend_drain_aborted_total";
-}
+/// Metric names the front-end's server registers (all under
+/// `inf2vec_frontend_`).
+pub use inf2vec_obs::http1::metrics;
 
 /// Front-end tuning.
 #[derive(Debug, Clone)]
@@ -105,21 +86,9 @@ pub fn status_for_outcome(outcome: &str) -> &'static str {
 }
 
 /// A running scoring server; stops on [`stop`](Self::stop) or drop.
+#[derive(Debug)]
 pub struct Frontend {
-    addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    active: Arc<AtomicUsize>,
-    accept_thread: Option<std::thread::JoinHandle<()>>,
-    batcher: Arc<Batcher>,
-    drain_deadline: Duration,
-}
-
-impl std::fmt::Debug for Frontend {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Frontend")
-            .field("addr", &self.addr)
-            .finish_non_exhaustive()
-    }
+    server: Server,
 }
 
 impl Frontend {
@@ -130,42 +99,22 @@ impl Frontend {
         batcher: Arc<Batcher>,
         cfg: FrontendConfig,
     ) -> std::io::Result<Self> {
-        let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
-        let local = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let active = Arc::new(AtomicUsize::new(0));
-        // A handler thread noticing the stop flag needs at most one
-        // socket timeout to finish its current write plus the idle
-        // grace it grants quiet keep-alives; anything still open past
-        // that is wedged and not worth blocking shutdown on.
-        let drain_deadline = cfg.http.write_timeout + cfg.idle_timeout;
-        let accept_thread = {
-            let stop = Arc::clone(&stop);
-            let active = Arc::clone(&active);
-            let batcher = Arc::clone(&batcher);
-            std::thread::Builder::new()
-                .name("inf2vec-frontend".to_string())
-                .spawn(move || accept_loop(listener, batcher, cfg, stop, active))?
-        };
-        Ok(Self {
-            addr: local,
-            stop,
-            active,
-            accept_thread: Some(accept_thread),
-            batcher,
-            drain_deadline,
-        })
+        let telemetry = batcher.service().telemetry().clone();
+        let max_candidates = cfg.max_candidates;
+        let server = Server::start(
+            addr,
+            telemetry,
+            cfg.http,
+            cfg.max_connections,
+            cfg.idle_timeout,
+            move |req| route(&batcher, max_candidates, req),
+        )?;
+        Ok(Self { server })
     }
 
     /// The bound address (useful with port 0).
     pub fn local_addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// The batcher this front-end submits rank requests through.
-    pub fn batcher(&self) -> &Arc<Batcher> {
-        &self.batcher
+        self.server.local_addr()
     }
 
     /// Stops accepting, waits for open connections to drain, joins.
@@ -174,253 +123,56 @@ impl Frontend {
     /// `http.write_timeout + idle_timeout`; if handler threads are
     /// still open past it, `inf2vec_frontend_drain_aborted_total` is
     /// incremented and shutdown returns anyway.
-    pub fn stop(mut self) {
-        self.shutdown();
-    }
-
-    fn shutdown(&mut self) {
-        if self.stop.swap(true, Ordering::SeqCst) && self.accept_thread.is_none() {
-            return; // already drained (stop() ran; this is the drop)
-        }
-        if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
-        }
-        // Handler threads exit within one socket timeout of the stop
-        // flag; wait for them so tests and shutdown don't race open
-        // sockets — but never longer than the drain deadline, so one
-        // wedged connection can't hold shutdown hostage.
-        let deadline = Instant::now() + self.drain_deadline;
-        while self.active.load(Ordering::SeqCst) > 0 && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(2));
-        }
-        if self.active.load(Ordering::SeqCst) > 0 {
-            self.batcher
-                .service()
-                .telemetry()
-                .count(metrics::DRAIN_ABORTED_TOTAL, 1);
-        }
-    }
-}
-
-impl Drop for Frontend {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
-fn accept_loop(
-    listener: TcpListener,
-    batcher: Arc<Batcher>,
-    cfg: FrontendConfig,
-    stop: Arc<AtomicBool>,
-    active: Arc<AtomicUsize>,
-) {
-    let telemetry = batcher.service().telemetry().clone();
-    let mut backoff = IdleBackoff::for_accept_loop();
-    while !stop.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                backoff.reset();
-                if active.load(Ordering::SeqCst) >= cfg.max_connections {
-                    telemetry.count(metrics::CONNECTIONS_REFUSED_TOTAL, 1);
-                    refuse_over_capacity(stream, &cfg.http);
-                    continue;
-                }
-                telemetry.count(metrics::CONNECTIONS_TOTAL, 1);
-                active.fetch_add(1, Ordering::SeqCst);
-                telemetry.gauge_set(
-                    metrics::CONNECTIONS_ACTIVE,
-                    active.load(Ordering::SeqCst) as f64,
-                );
-                let conn_batcher = Arc::clone(&batcher);
-                let conn_cfg = cfg.clone();
-                let conn_stop = Arc::clone(&stop);
-                let conn_active = Arc::clone(&active);
-                let spawned = std::thread::Builder::new()
-                    .name("inf2vec-frontend-conn".to_string())
-                    .spawn(move || {
-                        handle_connection(stream, &conn_batcher, &conn_cfg, &conn_stop);
-                        let telemetry = conn_batcher.service().telemetry();
-                        conn_active.fetch_sub(1, Ordering::SeqCst);
-                        telemetry.gauge_set(
-                            metrics::CONNECTIONS_ACTIVE,
-                            conn_active.load(Ordering::SeqCst) as f64,
-                        );
-                    });
-                if spawned.is_err() {
-                    active.fetch_sub(1, Ordering::SeqCst);
-                }
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => backoff.idle(),
-            Err(_) => backoff.idle(),
-        }
-    }
-}
-
-fn refuse_over_capacity(stream: TcpStream, http: &Http1Config) {
-    if let Ok(mut conn) = Connection::new(stream, http.clone()) {
-        let _ = conn.respond(
-            "503 Service Unavailable",
-            "application/json; charset=utf-8",
-            error_body("unavailable", "connection limit reached").as_bytes(),
-            false,
-        );
-    }
-}
-
-fn handle_connection(
-    stream: TcpStream,
-    batcher: &Batcher,
-    cfg: &FrontendConfig,
-    stop: &AtomicBool,
-) {
-    let telemetry = batcher.service().telemetry().clone();
-    let mut conn = match Connection::new(stream, cfg.http.clone()) {
-        Ok(c) => c,
-        Err(_) => return,
-    };
-    // When the connection last went quiet: at open, then after each
-    // response.
-    let mut quiet_since = Instant::now();
-    loop {
-        if stop.load(Ordering::SeqCst) {
-            return;
-        }
-        let request = match conn.read_request() {
-            Ok(r) => r,
-            Err(ReadError::Timeout) => {
-                // Quiet keep-alive connection: hold it up to the idle
-                // budget, then close without an error response.
-                if quiet_since.elapsed() >= cfg.idle_timeout {
-                    return;
-                }
-                continue;
-            }
-            Err(e) => {
-                if let Some(status) = e.status() {
-                    let reason = protocol_error_reason(&e);
-                    telemetry.count_with(
-                        metrics::PROTOCOL_ERRORS_TOTAL,
-                        &[("reason", reason)],
-                        1,
-                    );
-                    let body = error_body("bad_request", &e.to_string());
-                    let _ = conn.respond(
-                        status,
-                        "application/json; charset=utf-8",
-                        body.as_bytes(),
-                        false,
-                    );
-                } else if !matches!(e, ReadError::Closed) {
-                    telemetry.count_with(
-                        metrics::PROTOCOL_ERRORS_TOTAL,
-                        &[("reason", protocol_error_reason(&e))],
-                        1,
-                    );
-                }
-                return;
-            }
-        };
-        let started = Instant::now();
-        let keep_alive = request.keep_alive;
-        let (status, content_type, body) = route(batcher, cfg, &request);
-        let code = &status[..3];
-        telemetry.count_with(metrics::HTTP_REQUESTS_TOTAL, &[("code", code)], 1);
-        let write = conn.respond(status, content_type, body.as_bytes(), keep_alive);
-        telemetry.observe(metrics::REQUEST_SECONDS, started.elapsed().as_secs_f64());
-        if write.is_err() || !keep_alive {
-            return;
-        }
-        quiet_since = Instant::now();
-    }
-}
-
-fn protocol_error_reason(e: &ReadError) -> &'static str {
-    match e {
-        ReadError::Closed => "closed",
-        ReadError::Timeout => "timeout",
-        ReadError::Torn => "torn",
-        ReadError::HeadTooLarge(_) => "head_too_large",
-        ReadError::BodyTooLarge(_) => "body_too_large",
-        ReadError::Malformed(_) => "malformed",
-        ReadError::Unsupported(_) => "unsupported",
-        ReadError::Io(_) => "io",
+    pub fn stop(self) {
+        self.server.stop();
     }
 }
 
 // ----- routing ------------------------------------------------------------
 
-fn route(
-    batcher: &Batcher,
-    cfg: &FrontendConfig,
-    request: &HttpRequest,
-) -> (&'static str, &'static str, String) {
-    const JSON: &str = "application/json; charset=utf-8";
+fn route(batcher: &Batcher, max_candidates: usize, request: &HttpRequest) -> Response {
     let svc = batcher.service();
-    match (request.method.as_str(), request.path.as_str()) {
-        ("POST", "/v1/rank") => match rank_route(batcher, cfg, &request.body) {
-            Ok(body) => ("200 OK", JSON, body),
-            Err(e) => serve_error(e),
-        },
-        ("POST", "/v1/score") => match score_route(svc, &request.body) {
-            Ok(body) => ("200 OK", JSON, body),
-            Err(e) => serve_error(e),
-        },
-        ("POST", "/v1/score_active") => match score_active_route(svc, &request.body) {
-            Ok(body) => ("200 OK", JSON, body),
-            Err(e) => serve_error(e),
-        },
-        ("GET", "/metrics") => (
-            "200 OK",
-            "text/plain; version=0.0.4; charset=utf-8",
-            svc.telemetry().prometheus(),
-        ),
-        ("GET", "/healthz") => {
-            let version = svc.registry().current_version();
-            let has_model =
-                svc.registry().current().is_some() || svc.registry().fallback().is_some();
-            let body = format!(
-                "{{\"status\":{},\"model_version\":{version}}}",
-                if has_model { "\"ok\"" } else { "\"unavailable\"" }
-            );
-            if has_model {
-                ("200 OK", JSON, body)
-            } else {
-                ("503 Service Unavailable", JSON, body)
-            }
+    let answer = match (request.method.as_str(), request.path.as_str()) {
+        ("POST", "/v1/rank") => rank_route(batcher, max_candidates, &request.body),
+        ("POST", "/v1/score") => score_route(svc, &request.body),
+        ("POST", "/v1/score_active") => score_active_route(svc, &request.body),
+        ("GET", "/healthz") => return healthz(svc),
+        ("GET", _) | ("POST", _) => {
+            return telemetry_routes(svc.telemetry(), request).unwrap_or_else(|| {
+                error_response(
+                    "404 Not Found",
+                    "bad_request",
+                    "no such route; see POST /v1/rank /v1/score /v1/score_active, \
+                     GET /metrics /healthz /debug/flight",
+                )
+            })
         }
-        ("GET", _) | ("POST", _) => (
-            "404 Not Found",
-            JSON,
-            error_body(
+        _ => {
+            return error_response(
+                "405 Method Not Allowed",
                 "bad_request",
-                "no such route; see POST /v1/rank /v1/score /v1/score_active, GET /metrics /healthz",
-            ),
-        ),
-        _ => (
-            "405 Method Not Allowed",
-            JSON,
-            error_body("bad_request", "method not allowed; use GET or POST"),
-        ),
+                "method not allowed; use GET or POST",
+            )
+        }
+    };
+    match answer {
+        Ok(body) => ("200 OK", JSON, body),
+        Err(e) => error_response(status_for_outcome(e.outcome()), e.outcome(), &e.to_string()),
     }
 }
 
-fn serve_error(e: ServeError) -> (&'static str, &'static str, String) {
-    (
-        status_for_outcome(e.outcome()),
-        "application/json; charset=utf-8",
-        error_body(e.outcome(), &e.to_string()),
-    )
-}
-
-fn error_body(outcome: &str, message: &str) -> String {
-    let mut body = String::with_capacity(64 + message.len());
-    body.push_str("{\"error\":{\"outcome\":");
-    push_json_string(&mut body, outcome);
-    body.push_str(",\"message\":");
-    push_json_string(&mut body, message);
-    body.push_str("}}");
-    body
+fn healthz(svc: &ScoringService) -> Response {
+    let version = svc.registry().current_version();
+    let has_model = svc.registry().current().is_some() || svc.registry().fallback().is_some();
+    let body = format!(
+        "{{\"status\":{},\"model_version\":{version}}}",
+        if has_model { "\"ok\"" } else { "\"unavailable\"" }
+    );
+    if has_model {
+        ("200 OK", JSON, body)
+    } else {
+        ("503 Service Unavailable", JSON, body)
+    }
 }
 
 fn bad_request(reason: impl Into<String>) -> ServeError {
@@ -486,11 +238,11 @@ fn parse_body(body: &[u8]) -> Result<Json, ServeError> {
     Json::parse(text).map_err(|e| bad_request(format!("request body: {e}")))
 }
 
-fn rank_route(batcher: &Batcher, cfg: &FrontendConfig, body: &[u8]) -> Result<String, ServeError> {
+fn rank_route(batcher: &Batcher, max_candidates: usize, body: &[u8]) -> Result<String, ServeError> {
     let doc = parse_body(body)?;
     let req = parse_common(&doc)?;
     let u = parse_node(&doc, "u")?;
-    let candidates = parse_nodes(&doc, "candidates", cfg.max_candidates)?;
+    let candidates = parse_nodes(&doc, "candidates", max_candidates)?;
     let top_n = doc
         .get("top_n")
         .and_then(Json::as_u64)

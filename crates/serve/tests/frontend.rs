@@ -1,21 +1,28 @@
 //! Socket-level tests of the network front-end: protocol conformance,
-//! error mapping, keep-alive, the connection cap, and a fuzz pass
-//! proving arbitrary/torn/oversized bytes never panic the server and
-//! always yield a bounded response (or a clean close).
+//! error mapping, keep-alive, the connection cap, a fuzz pass proving
+//! arbitrary/torn/oversized bytes never panic the server and always
+//! yield a bounded response (or a clean close), and wire traffic
+//! reconciled against the metrics under the chaos schedule.
 
+use std::collections::BTreeMap;
 use std::io::{Read, Write};
-use std::net::TcpStream;
+use std::net::{SocketAddr, TcpStream};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use inf2vec_embed::EmbeddingStore;
 use inf2vec_graph::NodeId;
 use inf2vec_obs::http1::Http1Config;
 use inf2vec_obs::Telemetry;
+use inf2vec_serve::chaos::{reconcile, run_script};
+use inf2vec_serve::frontend::metrics;
 use inf2vec_serve::{
-    BatchConfig, Batcher, Frontend, FrontendConfig, Request, ScoringService, ServeConfig,
+    AdmissionConfig, BatchConfig, Batcher, BreakerConfig, Frontend, FrontendConfig, OverloadPolicy,
+    Request, ScoringService, ServeConfig,
 };
 use inf2vec_util::json::Json;
+use inf2vec_util::rng::split_seed;
 use inf2vec_util::Xoshiro256pp;
 
 fn start_frontend(cfg: FrontendConfig) -> (Arc<ScoringService>, Frontend) {
@@ -105,6 +112,29 @@ fn rank_over_the_wire_matches_in_process() {
     }
     assert_eq!(doc.get("version").and_then(Json::as_u64), Some(want.version));
     assert_eq!(doc.get("degraded").and_then(Json::as_bool), Some(false));
+    frontend.stop();
+}
+
+/// `top_n` is unbounded on the wire: a huge value ranks the whole slate
+/// rather than sizing a heap by it, and the server keeps answering.
+#[test]
+fn huge_top_n_ranks_the_slate_and_the_server_survives() {
+    let (_svc, frontend) = start_frontend(FrontendConfig::default());
+    let mut stream = TcpStream::connect(frontend.local_addr()).unwrap();
+    let (status, body) = roundtrip(
+        &mut stream,
+        &post("/v1/rank", "{\"u\":0,\"candidates\":[1],\"top_n\":1099511627776}"),
+    );
+    assert_eq!(status, "HTTP/1.1 200 OK", "{body}");
+    let doc = Json::parse(&body).unwrap();
+    assert_eq!(
+        doc.get("items").and_then(Json::as_array).map(<[Json]>::len),
+        Some(1)
+    );
+
+    let mut stream = TcpStream::connect(frontend.local_addr()).unwrap();
+    let (status, body) = roundtrip(&mut stream, &post("/v1/score", "{\"u\":2,\"v\":5}"));
+    assert_eq!(status, "HTTP/1.1 200 OK", "{body}");
     frontend.stop();
 }
 
@@ -375,4 +405,201 @@ fn shutdown_drain_is_bounded_and_aborts_are_counted() {
         "the aborted drain must be counted"
     );
     drop(stream);
+}
+
+/// Users and dimension of the chaos test's models.
+const CHAOS_NODES: usize = 1024;
+const CHAOS_K: usize = 16;
+
+/// What one keep-alive client saw on the wire.
+#[derive(Default)]
+struct WireTally {
+    /// By outcome: `ok`/`degraded` for 200s, else the body's
+    /// `error.outcome`.
+    outcomes: BTreeMap<String, u64>,
+    /// By status code.
+    codes: BTreeMap<String, u64>,
+    /// One per answered request.
+    latencies: Vec<Duration>,
+    /// 200 answers carrying a `null` (non-finite) score.
+    bad_values: u64,
+    transport_errors: Vec<String>,
+}
+
+/// Drives one keep-alive connection closed loop until `stop`: half
+/// `/v1/rank` (64 candidates, top 8), a quarter each `/v1/score` and
+/// `/v1/score_active`; every 17th request carries a spent deadline and
+/// every 13th refuses degraded answers.
+fn chaos_client(addr: SocketAddr, stop: &AtomicBool, worker: u64) -> WireTally {
+    let mut tally = WireTally::default();
+    let mut stream = TcpStream::connect(addr).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let mut rng = Xoshiro256pp::new(split_seed(7, worker));
+    let n = CHAOS_NODES as u64;
+    let ids = |count: u64, rng: &mut Xoshiro256pp| {
+        let ids: Vec<String> = (0..count).map(|_| rng.below(n).to_string()).collect();
+        ids.join(",")
+    };
+    let mut i = 0u64;
+    while !stop.load(Ordering::Relaxed) {
+        i += 1;
+        let mut envelope = String::new();
+        if i.is_multiple_of(17) {
+            envelope.push_str(",\"deadline_ms\":0");
+        }
+        if i.is_multiple_of(13) {
+            envelope.push_str(",\"allow_degraded\":false");
+        }
+        let u = rng.below(n);
+        let (path, body) = match i % 4 {
+            0 | 1 => {
+                let candidates = ids(64, &mut rng);
+                let body =
+                    format!("{{\"u\":{u},\"candidates\":[{candidates}],\"top_n\":8{envelope}}}");
+                ("/v1/rank", body)
+            }
+            2 => {
+                let body = format!("{{\"u\":{u},\"v\":{}{envelope}}}", rng.below(n));
+                ("/v1/score", body)
+            }
+            _ => {
+                let active = ids(1 + rng.below(4), &mut rng);
+                let body = format!("{{\"v\":{u},\"active\":[{active}]{envelope}}}");
+                ("/v1/score_active", body)
+            }
+        };
+        let started = Instant::now();
+        let answer = stream
+            .write_all(post(path, &body).as_bytes())
+            .ok()
+            .and_then(|()| read_response(&mut stream));
+        let Some((status, response)) = answer else {
+            tally.transport_errors.push(format!("{path}: no response"));
+            break;
+        };
+        tally.latencies.push(started.elapsed());
+        let code = status.split(' ').nth(1).unwrap_or_default().to_string();
+        let outcome = if code == "200" {
+            if response.contains("null") {
+                tally.bad_values += 1;
+            }
+            let degraded = response.contains("\"degraded\":true");
+            Some(if degraded { "degraded" } else { "ok" }.to_string())
+        } else {
+            Json::parse(&response)
+                .ok()
+                .and_then(|doc| Some(doc.get("error")?.get("outcome")?.as_str()?.to_string()))
+        };
+        match outcome {
+            Some(outcome) => *tally.outcomes.entry(outcome).or_insert(0) += 1,
+            None => tally
+                .transport_errors
+                .push(format!("{code} response without an outcome: {response}")),
+        }
+        *tally.codes.entry(code).or_insert(0) += 1;
+    }
+    tally
+}
+
+/// Keep-alive clients drive the socket while `chaos::run_script` swaps,
+/// corrupts, trips the breaker on and quarantines the model underneath.
+/// Every wire answer must reconcile exactly: outcomes against
+/// `inf2vec_serve_requests_total{outcome}`, status codes against
+/// `inf2vec_frontend_http_requests_total{code}`.
+#[test]
+fn wire_traffic_reconciles_under_the_chaos_schedule() {
+    let svc = Arc::new(ScoringService::new(
+        ServeConfig {
+            admission: AdmissionConfig {
+                max_in_flight: 8,
+                max_queue: 16,
+                policy: OverloadPolicy::Shed,
+            },
+            // A base backoff well above the script's step pause, so the
+            // suppressed step lands while the breaker is still open.
+            breaker: BreakerConfig {
+                failure_threshold: 3,
+                base_backoff: Duration::from_millis(100),
+                max_backoff: Duration::from_millis(400),
+            },
+            expect_k: Some(CHAOS_K),
+            default_deadline: Some(Duration::from_millis(250)),
+            deadline_check_every: 16,
+        },
+        Telemetry::with_registry(),
+    ));
+    svc.install_store(EmbeddingStore::new(CHAOS_NODES, CHAOS_K, 1), "chaos-v0")
+        .unwrap();
+    let batcher = Arc::new(Batcher::start(
+        Arc::clone(&svc),
+        BatchConfig {
+            max_batch: 32,
+            coalesce_window: Duration::from_micros(100),
+            workers: 2,
+        },
+    ));
+    let frontend = Frontend::start("127.0.0.1:0", batcher, FrontendConfig::default()).unwrap();
+    let addr = frontend.local_addr();
+
+    let stop = AtomicBool::new(false);
+    let (mut script, tallies) = std::thread::scope(|scope| {
+        let clients: Vec<_> = (0..4)
+            .map(|w| {
+                let stop = &stop;
+                scope.spawn(move || chaos_client(addr, stop, w))
+            })
+            .collect();
+        // The script's models are seeded 2..=4, apart from `chaos-v0`.
+        let script = run_script(&svc, CHAOS_NODES, CHAOS_K, 2, Duration::from_millis(5));
+        stop.store(true, Ordering::SeqCst);
+        let tallies: Vec<WireTally> = clients.into_iter().map(|c| c.join().unwrap()).collect();
+        (script, tallies)
+    });
+    // Every client has hung up, so the drain is immediate.
+    frontend.stop();
+
+    let mut outcomes = BTreeMap::new();
+    let mut codes = BTreeMap::new();
+    let (mut requests, mut bad_values) = (0, 0);
+    let mut latencies = Vec::new();
+    for t in tallies {
+        requests += t.latencies.len() as u64;
+        bad_values += t.bad_values;
+        for (k, v) in t.outcomes {
+            *outcomes.entry(k).or_insert(0) += v;
+        }
+        for (k, v) in t.codes {
+            *codes.entry(k).or_insert(0) += v;
+        }
+        latencies.extend(t.latencies);
+        script.mismatches.extend(t.transport_errors);
+    }
+    let snap = svc.telemetry().snapshot();
+    // The `chaos-v0` install is one swap outside the script.
+    let (_, quarantined) = reconcile(&snap, &outcomes, requests, bad_values, &mut script, 1);
+    for (code, n) in &codes {
+        let counted = snap.counter_value(metrics::HTTP_REQUESTS_TOTAL, &[("code", code.as_str())]);
+        if counted != *n {
+            script.mismatches.push(format!(
+                "http code {code}: clients saw {n}, the server counted {counted}"
+            ));
+        }
+    }
+    assert!(script.mismatches.is_empty(), "{:#?}", script.mismatches);
+    assert_eq!(bad_values, 0);
+    assert_eq!(
+        (script.swaps_ok, script.suppressed, quarantined),
+        (4, 1, 1),
+        "swaps, suppressed reloads, quarantined versions"
+    );
+    assert!(requests > 0);
+
+    latencies.sort_unstable();
+    let p99 = latencies[(latencies.len() * 99 / 100).min(latencies.len() - 1)];
+    // Wire-to-wire on loopback; a debug build is too slow to bound.
+    if !cfg!(debug_assertions) {
+        assert!(p99 < Duration::from_millis(250), "client p99 {p99:?} over {requests} requests");
+    }
 }

@@ -55,7 +55,8 @@ pub struct TopK<T> {
 }
 
 impl<T> TopK<T> {
-    /// Creates a collector for the `k` best-scoring items.
+    /// Creates a collector for the `k` best-scoring items. Any `k` is
+    /// cheap: the heap grows with the items pushed, never past `k`.
     ///
     /// # Panics
     ///
@@ -65,7 +66,7 @@ impl<T> TopK<T> {
         Self {
             k,
             seq: 0,
-            heap: BinaryHeap::with_capacity(k + 1),
+            heap: BinaryHeap::new(),
         }
     }
 

@@ -21,10 +21,11 @@ use std::time::Duration;
 use inf2vec::obs::{IntrospectServer, Telemetry};
 use inf2vec::pipeline::{pipeline_health_policy, run_soak, SoakConfig};
 
-/// One in-process GET, returning (status line, body).
+/// One in-process GET on its own connection, read to EOF
+/// (`Connection: close`); returns (status line, body).
 fn get(addr: std::net::SocketAddr, path: &str) -> (String, String) {
     let mut stream = TcpStream::connect(addr).expect("connect to introspection endpoint");
-    write!(stream, "GET {path} HTTP/1.1\r\nHost: demo\r\n\r\n").unwrap();
+    write!(stream, "GET {path} HTTP/1.1\r\nHost: demo\r\nConnection: close\r\n\r\n").unwrap();
     let mut out = String::new();
     stream.read_to_string(&mut out).unwrap();
     match out.split_once("\r\n\r\n") {
