@@ -15,14 +15,19 @@
 //!   `lr / sqrt(1 + decay · updates[u])` — fresh users take full-size
 //!   steps while long-seen users anneal, the online stand-in for the
 //!   batch trainer's global schedule.
-//! - **Deterministic negative sampling.** The unigram^0.75 table is
-//!   rebuilt before each episode as a *pure function* of the journaled
-//!   context counts, and the episode RNG is derived from
-//!   `(seed, episode_seq)` alone — replaying an episode against the same
-//!   prior state reproduces every sample, gradient, and row init exactly.
-//!   The per-node weights `max(c, 1)^0.75` behind the table are derived
-//!   state, never journaled: rebuilt from the counts on construction and
-//!   refreshed only for the contexts an episode touches.
+//! - **Deterministic negative sampling.** The unigram^0.75 table is kept
+//!   between episodes and rebuilt from the current context counts only
+//!   when the pairs applied since its last build reach the row count `n`,
+//!   or when the row space has grown. The O(n) build thus costs O(1) per
+//!   pair at any `n`, and the noise distribution lags the counts by fewer
+//!   than `n` pairs (for the first `n` pairs it is uniform), as in
+//!   incremental SGNS, where it is kept roughly current rather than exact
+//!   at every step. The counts the live table was built from are
+//!   journaled as [`OnlineState::sampler_counts`], so the table is a
+//!   *pure function* of journaled state; the episode RNG is derived from
+//!   `(seed, episode_seq)` alone. Replaying an episode against the same
+//!   prior state therefore reproduces every sample, gradient, sampler
+//!   build and row init exactly.
 
 use inf2vec_util::error::DataError;
 use inf2vec_util::rng::{split_seed, Xoshiro256pp};
@@ -74,6 +79,9 @@ pub struct OnlineState {
     /// Per-node count of appearances as a (positive) context target —
     /// the negative-sampling distribution.
     pub ctx_counts: Vec<u64>,
+    /// The `ctx_counts` the live negative table was built from, as of its
+    /// last build (zero for rows added since).
+    pub sampler_counts: Vec<u64>,
     /// Which rows have been lazily initialized.
     pub initialized: Vec<bool>,
     /// Episodes applied so far.
@@ -89,6 +97,7 @@ impl OnlineState {
             store: EmbeddingStore::zeroed(n, k),
             update_counts: vec![0; n],
             ctx_counts: vec![0; n],
+            sampler_counts: vec![0; n],
             initialized: vec![false; n],
             episodes_applied: 0,
             pairs_applied: 0,
@@ -105,6 +114,7 @@ impl OnlineState {
         self.store.grow(n);
         self.update_counts.resize(n, 0);
         self.ctx_counts.resize(n, 0);
+        self.sampler_counts.resize(n, 0);
         self.initialized.resize(n, false);
     }
 }
@@ -116,8 +126,13 @@ pub struct OnlineSgns {
     seed: u64,
     state: OnlineState,
     sigmoid: SigmoidTable,
-    /// `NegativeTable::weight` of each `ctx_counts` entry, kept in step.
-    weights: Vec<f64>,
+    /// The sampler over `state.sampler_counts`.
+    negatives: NegativeTable,
+    /// Pairs applied since `negatives` was built, `Σ (ctx_counts −
+    /// sampler_counts)`: derived once from the state, then kept in step.
+    since_build: u64,
+    /// Sampler builds by this trainer (observability; not journaled).
+    builds: u64,
 }
 
 impl OnlineSgns {
@@ -130,22 +145,41 @@ impl OnlineSgns {
 
     /// Reconstructs a trainer from journaled state, validating shape
     /// coherence (a mismatched journal must fail closed, not corrupt the
-    /// model).
+    /// model). The negative table is rebuilt from `sampler_counts`, so it
+    /// is the table the trainer that wrote the state was drawing from.
     pub fn from_state(state: OnlineState, cfg: OnlineConfig, seed: u64) -> Result<Self, DataError> {
         let n = state.store.len();
         if state.update_counts.len() != n
             || state.ctx_counts.len() != n
+            || state.sampler_counts.len() != n
             || state.initialized.len() != n
         {
             return Err(DataError::Invalid {
                 message: format!(
                     "online state shape mismatch: store has {n} rows, counts hold \
-                     {}/{}/{} entries",
+                     {}/{}/{}/{} entries",
                     state.update_counts.len(),
                     state.ctx_counts.len(),
+                    state.sampler_counts.len(),
                     state.initialized.len()
                 ),
             });
+        }
+        // Counts only grow, so every count the table was built from is at
+        // most today's, and the differences add up to the pairs since.
+        // Saturating: any total of at least `n` means "build at the next
+        // pair".
+        let mut since_build = 0u64;
+        let counts = state.sampler_counts.iter().zip(&state.ctx_counts);
+        for (i, (&b, &c)) in counts.enumerate() {
+            if b > c {
+                return Err(DataError::Invalid {
+                    message: format!(
+                        "online state sampler count {b} of node {i} exceeds its context count {c}"
+                    ),
+                });
+            }
+            since_build = since_build.saturating_add(c - b);
         }
         if state.store.has_non_finite() {
             return Err(DataError::NonFinite {
@@ -153,9 +187,10 @@ impl OnlineSgns {
                 line: 0,
             });
         }
-        let weights = state.ctx_counts.iter().map(|&c| NegativeTable::weight(c));
         Ok(Self {
-            weights: weights.collect(),
+            negatives: NegativeTable::from_counts(&state.sampler_counts),
+            since_build,
+            builds: 0,
             cfg,
             seed,
             state,
@@ -183,6 +218,12 @@ impl OnlineSgns {
         self.state.pairs_applied
     }
 
+    /// Negative-table builds since this trainer was constructed (the
+    /// table `from_state` restores is not counted).
+    pub fn sampler_builds(&self) -> u64 {
+        self.builds
+    }
+
     /// Applies one episode's pairs. `episode_seq` is the episode's
     /// position in the deterministic application order; re-applying the
     /// same `(episode_seq, pairs)` to the same prior state is
@@ -195,21 +236,23 @@ impl OnlineSgns {
     /// by the deterministic episode application order — never by wall
     /// clock or batching — a crash replay grows at exactly the same
     /// episode boundaries and stays bit-identical.
+    ///
+    /// The negative table is rebuilt from the current context counts
+    /// after growth, and before any pair once `n` pairs (the row count)
+    /// have been applied since its last build. Both triggers depend only
+    /// on the pair stream and the journaled counts, so sampler builds
+    /// replay at the same pairs too.
     pub fn apply_episode(&mut self, episode_seq: u64, pairs: &[(u32, u32)]) -> f64 {
-        // Growth must precede the sampler build below: the negative table
-        // ranges over the post-growth row space, and that choice has to be
-        // a pure function of the (deterministic) pair stream.
+        // Growth must precede the first draw: the negative table ranges
+        // over the post-growth row space, and that choice has to be a
+        // pure function of the (deterministic) pair stream.
         if let Some(max_id) = pairs.iter().map(|&(u, v)| u.max(v)).max() {
             self.state.grow(max_id as usize + 1);
-            self.weights
-                .resize(self.state.store.len(), NegativeTable::weight(0));
+            if (self.negatives.len() as usize) < self.state.store.len() {
+                self.build_sampler();
+            }
         }
-        // The sampler is a pure function of the pre-episode context
-        // counts, so recovery rebuilds exactly this table from the
-        // journal. O(n) per episode; the online n is the population the
-        // pipeline serves, not a web-scale vocabulary. With no counts yet
-        // every weight is 1: the uniform table.
-        let negatives = NegativeTable::from_weights(&self.weights);
+        let n = self.state.store.len() as u64;
         let mut rng = Xoshiro256pp::new(split_seed(
             split_seed(self.seed, ONLINE_STREAM),
             episode_seq,
@@ -218,19 +261,21 @@ impl OnlineSgns {
         let mut negs = vec![0u32; self.cfg.negatives];
         let mut loss = 0.0f64;
         for &(u, v) in pairs {
+            if self.since_build >= n {
+                self.build_sampler();
+            }
             let lr = self.adaptive_lr(u);
             self.ensure_row(u);
             self.ensure_row(v);
             // Negative rows are lazily initialized as they are drawn.
             for w in negs.iter_mut() {
-                *w = negatives.sample_excluding(u, v, &mut rng);
+                *w = self.negatives.sample_excluding(u, v, &mut rng);
                 self.ensure_row(*w);
             }
             loss += pair_update(&self.state.store, &self.sigmoid, u, v, &negs, lr, &mut grad);
             self.state.update_counts[u as usize] += 1;
-            let c = &mut self.state.ctx_counts[v as usize];
-            *c += 1;
-            self.weights[v as usize] = NegativeTable::weight(*c);
+            self.state.ctx_counts[v as usize] += 1;
+            self.since_build += 1;
         }
         self.state.episodes_applied += 1;
         self.state.pairs_applied += pairs.len() as u64;
@@ -239,6 +284,15 @@ impl OnlineSgns {
         } else {
             loss / pairs.len() as f64
         }
+    }
+
+    /// Rebuilds the negative table from the current context counts and
+    /// records them as the counts it was built from. O(n).
+    fn build_sampler(&mut self) {
+        self.state.sampler_counts.clone_from(&self.state.ctx_counts);
+        self.negatives = NegativeTable::from_counts(&self.state.sampler_counts);
+        self.since_build = 0;
+        self.builds += 1;
     }
 
     fn adaptive_lr(&self, u: u32) -> f32 {
@@ -282,11 +336,7 @@ mod tests {
             let lb = b.apply_episode(e, &pairs_for(e));
             assert_eq!(la, lb, "episode {e} loss");
         }
-        assert_eq!(a.store().source.to_vec(), b.store().source.to_vec());
-        assert_eq!(a.store().target.to_vec(), b.store().target.to_vec());
-        assert_eq!(a.store().bias_src.to_vec(), b.store().bias_src.to_vec());
-        assert_eq!(a.state().update_counts, b.state().update_counts);
-        assert_eq!(a.state().ctx_counts, b.state().ctx_counts);
+        assert_same_state(a.state(), b.state());
     }
 
     #[test]
@@ -333,10 +383,7 @@ mod tests {
         let lb = b.apply_episode(2, &[(11, 3), (3, 11)]);
         assert_eq!(la, lb);
         assert_eq!(a.store().len(), 12);
-        assert_eq!(b.store().len(), 12);
-        assert_eq!(a.store().source.to_vec(), b.store().source.to_vec());
-        assert_eq!(a.store().target.to_vec(), b.store().target.to_vec());
-        assert_eq!(a.state().update_counts, b.state().update_counts);
+        assert_same_state(a.state(), b.state());
     }
 
     #[test]
@@ -350,6 +397,7 @@ mod tests {
         assert_eq!(s.store.len(), 8);
         assert_eq!(s.update_counts.len(), 8);
         assert_eq!(s.ctx_counts.len(), 8);
+        assert_eq!(s.sampler_counts.len(), 8);
         assert_eq!(s.initialized.len(), 8);
         assert!(s.store.s(7).iter().all(|&x| x == 0.0));
     }
@@ -360,34 +408,78 @@ mod tests {
         let mut bad = t.state().clone();
         bad.ctx_counts.pop();
         assert!(OnlineSgns::from_state(bad, OnlineConfig::default(), 3).is_err());
+        for len in [3, 5] {
+            let mut bad = t.state().clone();
+            bad.sampler_counts.resize(len, 0);
+            assert!(OnlineSgns::from_state(bad, OnlineConfig::default(), 3).is_err());
+        }
+        // The table cannot have been built from counts the state never had.
+        let mut bad = t.state().clone();
+        bad.sampler_counts[2] = 1;
+        assert!(OnlineSgns::from_state(bad, OnlineConfig::default(), 3).is_err());
+    }
+
+    #[test]
+    fn sampler_rebuilds_every_n_pairs_and_on_growth() {
+        let mut t = OnlineSgns::new(4, 3, OnlineConfig::default(), 5);
+        // The first n = 4 pairs draw from the uniform table of a fresh state.
+        t.apply_episode(0, &[(0, 1), (1, 2), (2, 3)]);
+        t.apply_episode(1, &[(3, 1)]);
+        assert_eq!(t.sampler_builds(), 0);
+        assert_eq!(t.state().sampler_counts, vec![0; 4]);
+        // The fifth pair finds n pairs since the build and rebuilds first.
+        t.apply_episode(2, &[(0, 2), (1, 0)]);
+        assert_eq!(t.sampler_builds(), 1);
+        assert_eq!(t.state().sampler_counts, vec![0, 2, 1, 1]);
+        // Growth rebuilds over the new row space before the first pair.
+        t.apply_episode(3, &[(5, 0)]);
+        assert_eq!(t.sampler_builds(), 2);
+        assert_eq!(t.state().sampler_counts, vec![1, 2, 2, 1, 0, 0]);
+        assert_eq!(t.state().ctx_counts, vec![2, 2, 2, 1, 0, 0]);
+    }
+
+    fn assert_same_state(a: &OnlineState, b: &OnlineState) {
+        assert_eq!(a.store.source.to_vec(), b.store.source.to_vec());
+        assert_eq!(a.store.target.to_vec(), b.store.target.to_vec());
+        assert_eq!(a.store.bias_src.to_vec(), b.store.bias_src.to_vec());
+        assert_eq!(a.store.bias_tgt.to_vec(), b.store.bias_tgt.to_vec());
+        assert_eq!(a.update_counts, b.update_counts);
+        assert_eq!(a.ctx_counts, b.ctx_counts);
+        assert_eq!(a.sampler_counts, b.sampler_counts);
+        assert_eq!(a.initialized, b.initialized);
+        assert_eq!(
+            (a.episodes_applied, a.pairs_applied),
+            (b.episodes_applied, b.pairs_applied)
+        );
     }
 
     proptest::proptest! {
-        /// Cached weights draw like the sampler of the counts (uniform before
-        /// any count), through increments, growth and `from_state`.
+        /// A trainer restored with `from_state` at any episode boundary —
+        /// between sampler builds or right after one, before or after the
+        /// row space grows — continues exactly like the uninterrupted one:
+        /// the same losses, store and counts.
         #[test]
-        fn cached_weights_draw_like_the_counts(
+        fn replay_is_bit_identical_across_sampler_builds(
             episodes in proptest::prop::collection::vec(
-                proptest::prop::collection::vec((0u32..40, 0u32..40), 0..12), 1..8),
+                proptest::prop::collection::vec((0u32..24, 0u32..24), 0..12), 1..10),
             seed in 0u64..1000,
         ) {
-            let mut t = OnlineSgns::new(4, 3, OnlineConfig::default(), seed);
+            let cfg = OnlineConfig::default();
+            let mut full = OnlineSgns::new(4, 3, cfg.clone(), seed);
+            let mut snapshots = Vec::new();
+            let mut losses = Vec::new();
             for (e, pairs) in episodes.iter().enumerate() {
-                t.apply_episode(e as u64, pairs);
-                let c = &t.state().ctx_counts;
-                let expected = if c.iter().all(|&c| c == 0) {
-                    NegativeTable::uniform(c.len() as u32)
-                } else {
-                    NegativeTable::from_counts(c)
-                };
-                let cached = NegativeTable::from_weights(&t.weights);
-                let (mut ra, mut rb) = (Xoshiro256pp::new(seed), Xoshiro256pp::new(seed));
-                for _ in 0..64 {
-                    assert_eq!(cached.sample(&mut ra), expected.sample(&mut rb));
-                }
+                snapshots.push(full.state().clone());
+                losses.push(full.apply_episode(e as u64, pairs).to_bits());
             }
-            let restored = OnlineSgns::from_state(t.state().clone(), OnlineConfig::default(), seed);
-            assert!(restored.unwrap().weights == t.weights);
+            for (cut, snapshot) in snapshots.into_iter().enumerate() {
+                let mut t = OnlineSgns::from_state(snapshot, cfg.clone(), seed).unwrap();
+                for (e, pairs) in episodes.iter().enumerate().skip(cut) {
+                    let loss = t.apply_episode(e as u64, pairs).to_bits();
+                    proptest::prop_assert_eq!(loss, losses[e], "episode {} after cut {}", e, cut);
+                }
+                assert_same_state(t.state(), full.state());
+            }
         }
     }
 

@@ -36,14 +36,21 @@ use inf2vec_util::{atomic_write, fnv1a, Fnv1a};
 /// Journal format magic (version-independent prefix).
 const MAGIC: &str = "inf2vec-journal";
 
-/// Schema version this build writes and reads; bump on any incompatible
-/// layout change. A slot with intact checksum but a different version
-/// fails as [`PipelineError::JournalMismatch`] naming found/expected —
-/// never as a checksum-shaped mystery.
-pub const SCHEMA_VERSION: u32 = 2;
+/// Schema version this build writes; bump on any incompatible layout
+/// change. It reads this version and v2. A slot with intact checksum but
+/// any other version fails as [`PipelineError::JournalMismatch`] naming
+/// found/expected — never as a checksum-shaped mystery.
+///
+/// v3 adds the `sampler_counts` line (the counts the online trainer's
+/// negative table was built from); a v2 slot loads with `sampler_counts
+/// = ctx_counts`, the table a v2 build drew its next episode from.
+pub const SCHEMA_VERSION: u32 = 3;
 
 /// Journal format tag; bump [`SCHEMA_VERSION`] on any incompatible change.
-const HEADER: &str = "inf2vec-journal v2";
+const HEADER: &str = "inf2vec-journal v3";
+
+/// The previous format tag, still read.
+const HEADER_V2: &str = "inf2vec-journal v2";
 
 /// One open (still-assembling) episode, in persistable form.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -160,7 +167,7 @@ impl Journal {
                     return Err(PipelineError::JournalMismatch {
                         detail: format!(
                             "journal slot {name} was written by schema \
-                             {found:?}, this build reads v{SCHEMA_VERSION}"
+                             {found:?}, this build reads v{SCHEMA_VERSION} and v2"
                         ),
                     });
                 }
@@ -253,6 +260,7 @@ fn serialize(state: &JournalState, out: &mut impl Write) -> io::Result<()> {
     }
     write_u64s(out, "update_counts", &state.online.update_counts)?;
     write_u64s(out, "ctx_counts", &state.online.ctx_counts)?;
+    write_u64s(out, "sampler_counts", &state.online.sampler_counts)?;
     let init: Vec<u64> = state.online.initialized.iter().map(|&b| b as u64).collect();
     write_u64s(out, "initialized", &init)?;
     writeln!(out, "store")?;
@@ -305,7 +313,8 @@ fn parse_slot_inner(bytes: &[u8]) -> Option<SlotParse> {
 
     let mut lines = text[..body_end].lines();
     let header = lines.next()?;
-    if header != HEADER {
+    let v2 = header == HEADER_V2;
+    if header != HEADER && !v2 {
         // Intact bytes, wrong version tag (or a foreign file that happens
         // to checksum — report whatever its first line says it is).
         let found = header
@@ -353,6 +362,11 @@ fn parse_slot_inner(bytes: &[u8]) -> Option<SlotParse> {
     }
     let update_counts = read_u64s(lines.next()?, "update_counts")?;
     let ctx_counts = read_u64s(lines.next()?, "ctx_counts")?;
+    let sampler_counts = if v2 {
+        ctx_counts.clone()
+    } else {
+        read_u64s(lines.next()?, "sampler_counts")?
+    };
     let initialized: Vec<bool> = read_u64s(lines.next()?, "initialized")?
         .into_iter()
         .map(|v| v != 0)
@@ -363,7 +377,11 @@ fn parse_slot_inner(bytes: &[u8]) -> Option<SlotParse> {
     let store_start = text[..body_end].find("\nstore\n")? + "\nstore\n".len();
     let store = EmbeddingStore::load_data(io::Cursor::new(&bytes[store_start..body_end])).ok()?;
     let n = store.len();
-    if update_counts.len() != n || ctx_counts.len() != n || initialized.len() != n {
+    if update_counts.len() != n
+        || ctx_counts.len() != n
+        || sampler_counts.len() != n
+        || initialized.len() != n
+    {
         return None;
     }
     Some(SlotParse::Valid(Box::new(JournalState {
@@ -377,6 +395,7 @@ fn parse_slot_inner(bytes: &[u8]) -> Option<SlotParse> {
             store,
             update_counts,
             ctx_counts,
+            sampler_counts,
             initialized,
             episodes_applied: c[3],
             pairs_applied: c[4],
@@ -422,6 +441,7 @@ mod tests {
         online.initialized[1] = true;
         online.update_counts[1] = 5;
         online.ctx_counts[2] = 9;
+        online.sampler_counts[2] = 4;
         online.episodes_applied = 3;
         online.pairs_applied = 40;
         JournalState {
@@ -453,6 +473,7 @@ mod tests {
         assert_eq!(a.open, b.open);
         assert_eq!(a.online.update_counts, b.online.update_counts);
         assert_eq!(a.online.ctx_counts, b.online.ctx_counts);
+        assert_eq!(a.online.sampler_counts, b.online.sampler_counts);
         assert_eq!(a.online.initialized, b.online.initialized);
         assert_eq!(a.online.episodes_applied, b.online.episodes_applied);
         assert_eq!(a.online.pairs_applied, b.online.pairs_applied);
@@ -474,14 +495,17 @@ mod tests {
         );
     }
 
-    /// A slot written by the build before slots were streamed, from
-    /// [`fixture_state`]: its layout, number formatting and checksum line
-    /// are what every later build must write and read.
+    /// A v2 slot, written from [`fixture_state`] by the build before slots
+    /// were streamed: every later build must still load it.
     const V2_SLOT: &[u8] = include_bytes!("../tests/fixtures/journal-v2.b");
+
+    /// The v3 slot of [`fixture_state`]: its layout, number formatting and
+    /// checksum line are what every later v3 build must write and read.
+    const V3_SLOT: &[u8] = include_bytes!("../tests/fixtures/journal-v3.b");
 
     /// `sample(7)` with the float shapes the text format must reproduce:
     /// negative zero, the smallest subnormal, 1e-7, `f32::MAX` and
-    /// non-zero biases.
+    /// non-zero biases. Its `sampler_counts` differ from its `ctx_counts`.
     fn fixture_state() -> JournalState {
         let state = sample(7);
         let store = &state.online.store;
@@ -497,16 +521,27 @@ mod tests {
     }
 
     #[test]
-    fn write_reproduces_the_committed_v2_slot_and_loads_it() {
-        let tmp = tmp_dir("journal-v2-write");
+    fn write_reproduces_the_committed_v3_slot_and_loads_it() {
+        let tmp = tmp_dir("journal-v3-write");
         let path = Journal::new(&tmp).unwrap().write(&fixture_state()).unwrap();
         assert_eq!(path.file_name().unwrap(), "journal.b");
-        assert!(fs::read(&path).unwrap() == V2_SLOT, "slot bytes moved");
+        assert!(fs::read(&path).unwrap() == V3_SLOT, "slot bytes moved");
 
+        let tmp = tmp_dir("journal-v3-load");
+        fs::write(tmp.join("journal.b"), V3_SLOT).unwrap();
+        let loaded = Journal::new(&tmp).unwrap().load_latest().unwrap();
+        assert_same(&fixture_state(), &loaded.expect("the committed slot loads"));
+    }
+
+    #[test]
+    fn the_committed_v2_slot_loads_with_sampler_counts_equal_to_ctx_counts() {
         let tmp = tmp_dir("journal-v2-load");
         fs::write(tmp.join("journal.b"), V2_SLOT).unwrap();
         let loaded = Journal::new(&tmp).unwrap().load_latest().unwrap();
-        assert_same(&fixture_state(), &loaded.expect("the committed slot loads"));
+        let loaded = loaded.expect("the committed v2 slot loads");
+        let mut want = fixture_state();
+        want.online.sampler_counts = want.online.ctx_counts.clone();
+        assert_same(&want, &loaded);
     }
 
     #[test]
@@ -608,7 +643,7 @@ mod tests {
         // re-checksum so the bytes are *intact*, just incompatible.
         let text = String::from_utf8(fs::read(&path).unwrap()).unwrap();
         let body_end = text.trim_end_matches('\n').rfind('\n').unwrap() + 1;
-        let body = text[..body_end].replacen("inf2vec-journal v2", "inf2vec-journal v9", 1);
+        let body = text[..body_end].replacen("inf2vec-journal v3", "inf2vec-journal v9", 1);
         let rewritten = format!("{body}checksum {:016x}\n", fnv1a(body.as_bytes()));
         fs::write(&path, rewritten).unwrap();
 
@@ -616,7 +651,7 @@ mod tests {
         match err {
             PipelineError::JournalMismatch { detail } => {
                 assert!(detail.contains("v9"), "found version named: {detail}");
-                assert!(detail.contains("v2"), "expected version named: {detail}");
+                assert!(detail.contains("v3"), "expected version named: {detail}");
             }
             other => panic!("expected JournalMismatch, got {other:?}"),
         }
@@ -695,16 +730,18 @@ mod tests {
             }
 
             /// A slot rewritten with a foreign version header (re-checksummed,
-            /// so the bytes are intact) must fail typed, for any version tag.
+            /// so the bytes are intact) must fail typed, for any version tag
+            /// but the two this build reads.
             #[test]
-            fn any_foreign_version_is_a_typed_mismatch(v in 3u32..999) {
+            fn any_foreign_version_is_a_typed_mismatch(v in 0u32..997) {
+                let v = if v >= 2 { v + 2 } else { v };
                 let tmp = tmp_dir(&format!("journal-prop-v{v}"));
                 let j = Journal::new(&tmp).unwrap();
                 let path = j.write(&sample(4)).unwrap();
                 let text = String::from_utf8(fs::read(&path).unwrap()).unwrap();
                 let body_end = text.trim_end_matches('\n').rfind('\n').unwrap() + 1;
                 let body = text[..body_end]
-                    .replacen("inf2vec-journal v2", &format!("inf2vec-journal v{v}"), 1);
+                    .replacen("inf2vec-journal v3", &format!("inf2vec-journal v{v}"), 1);
                 let rewritten =
                     format!("{body}checksum {:016x}\n", fnv1a(body.as_bytes()));
                 fs::write(&path, rewritten).unwrap();

@@ -357,9 +357,15 @@ impl Trainer {
         );
         let episode_seq = self.online.episodes_applied();
         let (pairs, stats) = inf2vec_core::episode_pairs(graph, &episode, &cfg.inf2vec, episode_seq);
+        let builds_before = self.online.sampler_builds();
         let loss = self.online.apply_episode(episode_seq, &pairs);
+        let builds = self.online.sampler_builds() - builds_before;
         self.records_applied += it.folded;
         cfg.telemetry.count("inf2vec_pipeline_episodes_total", 1);
+        if builds > 0 {
+            cfg.telemetry
+                .count("inf2vec_pipeline_sampler_builds_total", builds);
+        }
         cfg.telemetry
             .count("inf2vec_pipeline_pairs_total", pairs.len() as u64);
         if !pairs.is_empty() {
@@ -1708,6 +1714,60 @@ mod tests {
         write_log(&log_c, 4, 6);
         let (_, sum_clean) = run_once(&dir_c, &log_c, small_cfg(), Arc::new(FaultPlan::none()));
         assert_eq!(r.store_checksum, sum_clean, "resume is bit-identical");
+    }
+
+    /// A journal directory holding only a v2 slot (written before the
+    /// sampler counts were journaled) resumes from that slot, with the
+    /// sampler rebuilt from its context counts, and finishes the log.
+    #[test]
+    fn a_journal_holding_only_a_v2_slot_resumes_from_it() {
+        let dir = tmp_dir("runner-v2-resume");
+        let log = dir.join("actions.log");
+        let (good, bad) = write_log(&log, 4, 6);
+        let open = || {
+            Pipeline::with_runtime(
+                small_cfg(),
+                &log,
+                dir.join("journal"),
+                ring_graph(6),
+                Arc::new(CountingSink::new()),
+                system_clock(),
+                Arc::new(FaultPlan::none()),
+            )
+            .unwrap()
+        };
+        open().run_until_idle().unwrap(); // then dropped: a crash
+        let journal = Journal::new(dir.join("journal")).unwrap();
+        let state = journal.load_latest().unwrap().expect("a committed slot");
+        assert!(state.online.episodes_applied > 0, "the slot holds progress");
+        // Rewrite the newest slot as v2, the only slot in the directory.
+        let v3 = std::fs::read_to_string(journal.slot_path(state.round)).unwrap();
+        let body_end = v3.trim_end_matches('\n').rfind('\n').unwrap() + 1;
+        let body: String = v3[..body_end]
+            .replacen("inf2vec-journal v3", "inf2vec-journal v2", 1)
+            .lines()
+            .filter(|l| !l.starts_with("sampler_counts "))
+            .map(|l| format!("{l}\n"))
+            .collect();
+        let v2 = format!(
+            "{body}checksum {:016x}\n",
+            inf2vec_util::fnv1a(body.as_bytes())
+        );
+        std::fs::remove_dir_all(dir.join("journal")).unwrap();
+        let journal = Journal::new(dir.join("journal")).unwrap();
+        std::fs::write(journal.slot_path(state.round), v2).unwrap();
+        let loaded = journal.load_latest().unwrap().expect("the v2 slot loads");
+        assert_eq!(loaded.online.sampler_counts, state.online.ctx_counts);
+
+        let mut p = open();
+        assert_eq!(p.position(), state.pos, "resumed at the slot's position");
+        assert_eq!(p.episodes_applied(), state.online.episodes_applied);
+        p.run_until_idle().unwrap();
+        p.drain_open_episodes().unwrap();
+        p.shutdown().unwrap();
+        let r = p.reconciliation();
+        assert!(r.balances(good, bad), "resumed ledger balances: {r:?}");
+        assert_eq!(r.records_pending, 0);
     }
 
     /// Compaction with a tiny budget seals prefixes into the segmented

@@ -10,7 +10,7 @@
 //! queued jobs (waiting at most [`BatchConfig::coalesce_window`] after
 //! the first) and scores them together.
 //!
-//! The hot kernel is [`score_block`]: one source row `S_u` held in
+//! The hot kernel is `score_block`: one source row `S_u` held in
 //! registers against [`BLOCK`] target rows at once, one independent f32
 //! accumulator per candidate summing in `k` order. Each accumulator
 //! performs *exactly* the operation sequence of the scalar
@@ -22,9 +22,14 @@
 //! candidate indices as the unbatched path, and a job whose deadline
 //! lapses *while queued in the batcher* is failed at dequeue with
 //! `deadline_exceeded`, counted exactly once through the service's
-//! single outcome-accounting point ([`ScoringService::finish`]).
+//! single outcome-accounting point (`ScoringService::finish`).
+//!
+//! A worker runs each job under `catch_unwind`: a job that panics is
+//! answered `unavailable` (counted the same way) and the worker goes on
+//! serving, so no caller is left parked on a slot nobody will fill.
 
 use std::collections::VecDeque;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -324,12 +329,18 @@ fn collect_batch(shared: &Shared, cfg: BatchConfig) -> (Vec<Job>, &'static str) 
 
 /// Scores one flushed batch. Every job gets exactly one outcome through
 /// [`ScoringService::finish`] and exactly one slot fulfillment —
-/// including jobs that expired while queued.
+/// including jobs that expired while queued, and jobs that panicked.
 pub(crate) fn process_batch(svc: &ScoringService, batch: Vec<Job>) {
     svc.telemetry()
         .gauge_set(metrics::BATCH_QUEUE_DEPTH, 0.0);
     for job in batch {
-        let res = process_job(svc, &job);
+        // A job only reads the pinned model and counts through atomics,
+        // so a panic leaves nothing half-updated for the next job.
+        let res = catch_unwind(AssertUnwindSafe(|| process_job(svc, &job))).unwrap_or_else(|_| {
+            Err(ServeError::ModelUnavailable {
+                reason: "rank job panicked".into(),
+            })
+        });
         let outcome = match &res {
             Ok(r) if r.degraded => "degraded",
             Ok(_) => "ok",
@@ -686,6 +697,49 @@ mod tests {
             .unwrap_err();
         assert_eq!(err.outcome(), "degraded_refused");
         batcher.stop();
+    }
+
+    /// A job that panics in a worker is answered `unavailable`, counted
+    /// once, and the workers keep serving the next model.
+    #[test]
+    fn a_panicking_job_answers_unavailable_and_the_workers_survive() {
+        let svc = service(ServeConfig::default());
+        // A target narrower than `k`: `score_block` panics slicing it. No
+        // load path accepts this store, so it goes in unchecked.
+        let mut narrow = EmbeddingStore::new(16, 4, 7);
+        narrow.target = inf2vec_embed::HogwildMatrix::zeros(16, 2);
+        svc.registry().install_unchecked(narrow, "narrow");
+        let cfg = BatchConfig::default();
+        let batcher = Arc::new(Batcher::start(Arc::clone(&svc), cfg));
+        let rank = |batcher: &Arc<Batcher>| {
+            let (tx, rx) = std::sync::mpsc::channel();
+            let b = Arc::clone(batcher);
+            let caller = std::thread::spawn(move || {
+                let candidates: Vec<NodeId> = (0..16).map(NodeId).collect();
+                let _ = tx.send(b.rank(NodeId(0), candidates, 3, &Request::new()));
+            });
+            let res = rx
+                .recv_timeout(Duration::from_secs(10))
+                .expect("Batcher::rank never answered");
+            caller.join().unwrap();
+            res
+        };
+        // More panicking jobs than workers: each would kill one.
+        let panicked = cfg.workers as u64 + 1;
+        for _ in 0..panicked {
+            let err = rank(&batcher).unwrap_err();
+            assert_eq!(err.outcome(), "unavailable", "{err}");
+        }
+        let snap = svc.telemetry().snapshot();
+        assert_eq!(
+            snap.counter_value(svc_metrics::REQUESTS_TOTAL, &[("outcome", "unavailable")]),
+            panicked,
+            "each panicked job counted once"
+        );
+        install(&svc, 16, 4, 8);
+        for _ in 0..cfg.workers + 1 {
+            assert_eq!(rank(&batcher).unwrap().items.len(), 3);
+        }
     }
 
     #[test]

@@ -14,6 +14,8 @@
 //!
 //! - the snapshot parses (typed [`DataError`]s from
 //!   `EmbeddingStore::load_data` for truncation / malformed lines / NaN),
+//! - the four matrices agree in shape (source and target `n × k`, both
+//!   bias columns `n × 1`),
 //! - parameters are all finite ([`EmbeddingStore::has_non_finite`]),
 //! - the embedding dimension matches the registry's pin (when set),
 //! - the [`store_checksum`] over the parameter bits matches the expected
@@ -27,7 +29,7 @@ use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
-use inf2vec_embed::EmbeddingStore;
+use inf2vec_embed::{EmbeddingStore, HogwildMatrix};
 use inf2vec_eval::score::RepresentationModel;
 use inf2vec_graph::NodeId;
 use inf2vec_util::error::{DataError, Inf2vecError};
@@ -347,6 +349,24 @@ impl ModelRegistry {
                 message: format!("model {label:?} covers zero users"),
             }));
         }
+        // The fields are public, so a store built by hand can disagree
+        // with itself; scoring slices every row to `k`.
+        let (n, k) = (store.len(), store.k());
+        let fits = |m: &HogwildMatrix, cols| m.rows() == n && m.cols() == cols;
+        if !(fits(&store.target, k) && fits(&store.bias_src, 1) && fits(&store.bias_tgt, 1)) {
+            return Err(Inf2vecError::Data(DataError::Invalid {
+                message: format!(
+                    "model {label:?} matrices disagree in shape: source {n}x{k}, \
+                     target {}x{}, biases {}x{} and {}x{}",
+                    store.target.rows(),
+                    store.target.cols(),
+                    store.bias_src.rows(),
+                    store.bias_src.cols(),
+                    store.bias_tgt.rows(),
+                    store.bias_tgt.cols()
+                ),
+            }));
+        }
         if let Some(k) = self.expect_k {
             if store.k() != k {
                 return Err(Inf2vecError::Data(DataError::Invalid {
@@ -375,6 +395,18 @@ impl ModelRegistry {
             }
         }
         // Validation passed — only now does the swap become visible.
+        Ok(self.swap_in(store, label, checksum))
+    }
+
+    /// Installs `store` with no validation at all: a model no load path
+    /// accepts, for tests of what serving does when one gets through.
+    #[cfg(test)]
+    pub(crate) fn install_unchecked(&self, store: EmbeddingStore, label: &str) {
+        let checksum = store_checksum(&store);
+        self.swap_in(store, label, checksum);
+    }
+
+    fn swap_in(&self, store: EmbeddingStore, label: &str, checksum: u64) -> Arc<ModelVersion> {
         let version = self.next_version.fetch_add(1, Ordering::Relaxed) + 1;
         let model = Arc::new(ModelVersion {
             version,
@@ -387,7 +419,7 @@ impl ModelRegistry {
         // find a fallback at least as new as whatever current it saw.
         *self.fallback.write().expect("registry lock poisoned") = Some(fb);
         *self.current.write().expect("registry lock poisoned") = Some(Arc::clone(&model));
-        Ok(model)
+        model
     }
 
     /// Parses, validates, and installs a snapshot from an arbitrary
@@ -474,6 +506,35 @@ mod tests {
         assert_eq!(cur.version(), 1);
         assert_eq!(cur.label(), "good");
         assert_eq!(reg.fallback().unwrap().version(), 1);
+    }
+
+    #[test]
+    fn matrices_that_disagree_in_shape_are_refused() {
+        let reg = ModelRegistry::new(Some(4));
+        reg.install(store(8, 4, 1), "good").unwrap();
+        let mut narrow = store(8, 4, 2);
+        narrow.target = HogwildMatrix::zeros(8, 3);
+        let mut short = store(8, 4, 3);
+        short.target = HogwildMatrix::zeros(7, 4);
+        let mut wide_bias = store(8, 4, 4);
+        wide_bias.bias_tgt = HogwildMatrix::zeros(8, 2);
+        let mut short_bias = store(8, 4, 5);
+        short_bias.bias_src = HogwildMatrix::zeros(6, 1);
+        for (bad, label) in [
+            (narrow, "narrow-target"),
+            (short, "short-target"),
+            (wide_bias, "wide-bias"),
+            (short_bias, "short-bias"),
+        ] {
+            let err = reg.install(bad, label).unwrap_err();
+            assert!(
+                matches!(&err, Inf2vecError::Data(DataError::Invalid { message })
+                    if message.contains("disagree in shape")),
+                "{label}: {err}"
+            );
+        }
+        assert_eq!(reg.current().unwrap().label(), "good");
+        assert_eq!(reg.installed_count(), 1);
     }
 
     #[test]
