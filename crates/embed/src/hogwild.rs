@@ -111,6 +111,34 @@ impl HogwildMatrix {
         std::slice::from_raw_parts_mut(base, self.cols)
     }
 
+    /// Asks the CPU to start loading row `i` into cache, so that a later
+    /// read of it waits less. Reads and writes nothing, and any `i` is
+    /// allowed (an address outside the matrix is a wasted hint, never a
+    /// fault). A no-op off x86_64.
+    #[inline]
+    pub(crate) fn prefetch_row(&self, i: usize) {
+        #[cfg(target_arch = "x86_64")]
+        {
+            use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+            const LINE: usize = 64;
+            let row = self
+                .as_slice()
+                .as_ptr()
+                .wrapping_add(i.wrapping_mul(self.cols))
+                .cast::<i8>();
+            let lead = row as usize % LINE;
+            let mut line = row.wrapping_sub(lead);
+            for _ in 0..(lead + self.cols * 4).div_ceil(LINE) {
+                // SAFETY: a prefetch is a hint: it cannot fault, and it
+                // changes no memory the program can observe.
+                unsafe { _mm_prefetch::<_MM_HINT_T0>(line) };
+                line = line.wrapping_add(LINE);
+            }
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        let _ = i;
+    }
+
     /// Immutable view of the whole matrix, row-major.
     ///
     /// Same read contract as [`row`](Self::row): under concurrent training

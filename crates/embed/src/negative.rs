@@ -73,6 +73,13 @@ impl NegativeTable {
                 return w;
             }
         }
+        self.uniform_excluding(u, v, rng)
+    }
+
+    /// `sample_excluding`'s fallback, out of line so the draw loop stays
+    /// small enough to inline into the trainers.
+    #[cold]
+    fn uniform_excluding(&self, u: u32, v: u32, rng: &mut Xoshiro256pp) -> u32 {
         // Degenerate distribution: walk the id space deterministically.
         let mut w = rng.below(self.n as u64) as u32;
         while (w == u || w == v) && self.n > 2 {

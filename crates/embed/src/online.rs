@@ -264,12 +264,17 @@ impl OnlineSgns {
             if self.since_build >= n {
                 self.build_sampler();
             }
+            // Start loading the pair's rows now; the negative draws and the
+            // kernel's first dots overlap with the loads.
+            self.state.store.source.prefetch_row(u as usize);
+            self.state.store.target.prefetch_row(v as usize);
             let lr = self.adaptive_lr(u);
             self.ensure_row(u);
             self.ensure_row(v);
             // Negative rows are lazily initialized as they are drawn.
             for w in negs.iter_mut() {
                 *w = self.negatives.sample_excluding(u, v, &mut rng);
+                self.state.store.target.prefetch_row(*w as usize);
                 self.ensure_row(*w);
             }
             loss += pair_update(&self.state.store, &self.sigmoid, u, v, &negs, lr, &mut grad);

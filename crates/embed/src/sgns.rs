@@ -42,6 +42,9 @@ use rand::RngCore as _;
 use crate::negative::NegativeTable;
 use crate::store::EmbeddingStore;
 
+#[cfg(target_arch = "x86_64")]
+mod avx2;
+
 /// A (re-playable) stream of `(center, context)` training pairs.
 ///
 /// Implementations deliver pairs shard-by-shard so the trainer can run one
@@ -411,7 +414,13 @@ impl SgnsTrainer {
                     && (!mean.is_finite()
                         || last_good.is_some_and(|g| mean > guard.blowup * g.max(1e-12)));
                 if blown {
-                    if recoveries.len() >= guard.max_recoveries {
+                    let snapshot = snapshot.as_ref().expect("guard always holds a snapshot");
+                    // A snapshot that is not finite (the run started from,
+                    // or an epoch left, a NaN in rows it did not train) is
+                    // no healthy state to go back to.
+                    if recoveries.len() >= guard.max_recoveries
+                        || store.try_restore(snapshot).is_err()
+                    {
                         return Err(TrainError::Diverged {
                             epoch,
                             loss: mean,
@@ -419,7 +428,6 @@ impl SgnsTrainer {
                         }
                         .into());
                     }
-                    store.restore(snapshot.as_ref().expect("guard always holds a snapshot"));
                     lr_scale *= guard.backoff;
                     recoveries.push(RecoveryEvent {
                         epoch,
@@ -646,6 +654,10 @@ impl SgnsTrainer {
         let mut rng_neg = Xoshiro256pp::new(rng.next_u64());
 
         source.for_each_pair(epoch, shard, n_shards, rng, &mut |u, v| {
+            // Start loading the pair's rows now; the negative draws and the
+            // kernel's first dots overlap with the loads.
+            store.source.prefetch_row(u as usize);
+            store.target.prefetch_row(v as usize);
             // Learning rate: linear decay to lr_min over the whole run
             // (constant when lr_min == lr, the paper's setting), times the
             // divergence guard's current backoff scale.
@@ -658,6 +670,7 @@ impl SgnsTrainer {
             } * lr_scale;
             for w in negs.iter_mut() {
                 *w = negatives.sample_excluding(u, v, &mut rng_neg);
+                store.target.prefetch_row(*w as usize);
             }
             loss += pair_update(store, &self.sigmoid, u, v, &negs, lr, &mut grad);
             pairs += 1;
@@ -676,9 +689,11 @@ impl SgnsTrainer {
 /// One SGD step of Eq. 6 (`∂/∂S_u = (1-σ(z_v))·T_v + Σ_w (-σ(z_w))·T_w`,
 /// etc.) on pair `(u, v)` against the drawn negatives `negs`, for both the
 /// batch and the online trainer; returns the pair's negative log-likelihood
-/// (Eq. 4). `grad` is scratch of length `k`. Each target row is read once:
-/// its share of the center gradient and its own update happen in one pass,
-/// with the same f32 operations as accumulating first and updating after.
+/// (Eq. 4). `grad` is scratch of length `k`; what it holds on entry does
+/// not matter.
+///
+/// Runs the AVX2 body when the CPU has AVX2, else the portable one. The
+/// two give the same bits: see the `avx2` module.
 #[inline]
 pub(crate) fn pair_update(
     store: &EmbeddingStore,
@@ -689,7 +704,27 @@ pub(crate) fn pair_update(
     lr: f32,
     grad: &mut [f32],
 ) -> f64 {
-    grad.fill(0.0);
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: the CPU supports AVX2, checked just above.
+        return unsafe { avx2::pair_update(store, sigmoid, u, v, negs, lr, grad) };
+    }
+    pair_update_portable(store, sigmoid, u, v, negs, lr, grad)
+}
+
+/// The portable body of [`pair_update`], and the reference the AVX2 body
+/// matches bit for bit. Each target row is read once: its share of the
+/// center gradient and its own update happen in one pass, with the same
+/// f32 operations as accumulating first and updating after.
+fn pair_update_portable(
+    store: &EmbeddingStore,
+    sigmoid: &SigmoidTable,
+    u: u32,
+    v: u32,
+    negs: &[u32],
+    lr: f32,
+    grad: &mut [f32],
+) -> f64 {
     let (mut bias_grad, mut loss) = (0.0f32, 0.0f64);
     // SAFETY (all row_mut calls below): source/target/bias matrices are
     // distinct allocations, and within each matrix we hold at most one row
@@ -706,10 +741,10 @@ pub(crate) fn pair_update(
             let g = if i == 0 { 1.0 - sig } else { -sig };
             let ln = if i == 0 { ln_pos } else { ln_neg };
             let step = lr * g;
-            for ((gi, ti), si) in grad.iter_mut().zip(tw.iter_mut()).zip(su.iter()) {
-                let t = *ti;
-                *gi += g * t;
-                *ti = t + step * si;
+            if i == 0 {
+                fold_target::<true>(grad, tw, su, g, step);
+            } else {
+                fold_target::<false>(grad, tw, su, g, step);
             }
             if store.use_bias {
                 store.bias_tgt.row_mut(w as usize)[0] += step;
@@ -727,6 +762,19 @@ pub(crate) fn pair_update(
         }
     }
     loss
+}
+
+/// One target row's pass: `grad += g·T_w`, then `T_w += step·S_u`, per
+/// element. The pair's first target (`FIRST`, the positive) writes
+/// `0.0 + g·t`, the f32 operation `+=` performs on a zeroed slot, so
+/// `grad` needs no zeroing between pairs.
+#[inline(always)]
+fn fold_target<const FIRST: bool>(grad: &mut [f32], tw: &mut [f32], su: &[f32], g: f32, step: f32) {
+    for ((gi, ti), si) in grad.iter_mut().zip(tw.iter_mut()).zip(su) {
+        let t = *ti;
+        *gi = if FIRST { 0.0 } else { *gi } + g * t;
+        *ti = t + step * si;
+    }
 }
 
 /// The training dot: eight independent partial sums, so the additions
@@ -1172,30 +1220,134 @@ mod tests {
         loss
     }
 
+    /// The signature of one body of [`pair_update`].
+    type Kernel = fn(&EmbeddingStore, &SigmoidTable, u32, u32, &[u32], f32, &mut [f32]) -> f64;
+
+    /// The kernel bodies this CPU can run: the portable one, and the AVX2
+    /// one when the CPU has AVX2.
+    fn kernels() -> Vec<(&'static str, Kernel)> {
+        let mut kernels: Vec<(&'static str, Kernel)> = vec![("portable", pair_update_portable)];
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: listed only when the CPU supports AVX2.
+            kernels.push(("avx2", |s, t, u, v, n, lr, g| unsafe {
+                avx2::pair_update(s, t, u, v, n, lr, g)
+            }));
+        }
+        kernels
+    }
+
+    /// Every parameter's bits, matrix by matrix.
+    fn bits(s: &EmbeddingStore) -> Vec<u32> {
+        let all = [&s.source, &s.target, &s.bias_src, &s.bias_tgt].map(|m| m.to_vec());
+        all.concat().iter().map(|x| x.to_bits()).collect()
+    }
+
     #[test]
     fn pair_update_matches_the_two_pass_kernel_bit_for_bit() {
-        let bits = |s: &EmbeddingStore| -> Vec<u32> {
-            let all = [&s.source, &s.target, &s.bias_src, &s.bias_tgt].map(|m| m.to_vec());
-            all.concat().iter().map(|x| x.to_bits()).collect()
-        };
         let sigmoid = SigmoidTable::default();
-        for case in 0..10 {
-            let (k, use_bias) = ([1, 5, 8, 13, 50][case / 2], case % 2 == 1);
-            let mut fused = EmbeddingStore::new(9, k, k as u64);
-            fused.use_bias = use_bias;
-            let reference = fused.clone();
-            let (mut rng, mut grad) = (Xoshiro256pp::new(k as u64), vec![0.0; k]);
-            for _ in 0..500 {
-                let (u, v) = (rng.below(9) as u32, rng.below(9) as u32);
-                // Five draws from four ids: duplicates every time, and
-                // sometimes u or v among them.
-                let negs: Vec<u32> = (0..5).map(|_| rng.below(4) as u32).collect();
-                let la = pair_update(&fused, &sigmoid, u, v, &negs, 0.3, &mut grad);
-                let lb = two_pass(&reference, &sigmoid, u, v, &negs, 0.3);
-                assert_eq!(la.to_bits(), lb.to_bits(), "loss, k={k}");
+        for (name, kernel) in kernels() {
+            for case in 0..10 {
+                let (k, use_bias) = ([1, 5, 8, 13, 50][case / 2], case % 2 == 1);
+                let mut fused = EmbeddingStore::new(9, k, k as u64);
+                fused.use_bias = use_bias;
+                let reference = fused.clone();
+                // What `grad` holds on entry must not matter.
+                let (mut rng, mut grad) = (Xoshiro256pp::new(k as u64), vec![f32::NAN; k]);
+                for _ in 0..500 {
+                    let (u, v) = (rng.below(9) as u32, rng.below(9) as u32);
+                    // Five draws from four ids: duplicates every time, and
+                    // sometimes u or v among them.
+                    let negs: Vec<u32> = (0..5).map(|_| rng.below(4) as u32).collect();
+                    let la = kernel(&fused, &sigmoid, u, v, &negs, 0.3, &mut grad);
+                    let lb = two_pass(&reference, &sigmoid, u, v, &negs, 0.3);
+                    assert_eq!(la.to_bits(), lb.to_bits(), "{name}: loss, k={k}");
+                }
+                assert!(!fused.has_non_finite(), "{name}");
+                assert_eq!(bits(&fused), bits(&reference), "{name}: parameters, k={k}");
             }
-            assert!(!fused.has_non_finite());
-            assert_eq!(bits(&fused), bits(&reference), "parameters, k={k}");
+        }
+    }
+
+    proptest::proptest! {
+        /// Every kernel body gives the portable body's loss and parameter
+        /// bits: any k (whole 8-lane blocks and a scalar tail), biases on
+        /// or off, and any number of negatives (none, more than the AVX2
+        /// body dots early), drawn from six ids so that rows repeat and
+        /// negatives equal `u` or `v`.
+        #[test]
+        fn every_kernel_matches_the_portable_one_bit_for_bit(
+            k in 1usize..71,
+            use_bias in proptest::any::<bool>(),
+            seed in 0u64..1000,
+            lr in 0.01f32..1.0,
+            steps in proptest::prop::collection::vec(
+                (0u32..6, 0u32..6, proptest::prop::collection::vec(0u32..6, 0..25)), 1..30),
+        ) {
+            let sigmoid = SigmoidTable::default();
+            let mut start = EmbeddingStore::new(6, k, seed);
+            start.use_bias = use_bias;
+            let run = |kernel: Kernel| {
+                let store = start.clone();
+                let mut grad = vec![f32::NAN; k];
+                let losses: Vec<u64> = steps
+                    .iter()
+                    .map(|(u, v, negs)| kernel(&store, &sigmoid, *u, *v, negs, lr, &mut grad).to_bits())
+                    .collect();
+                (losses, bits(&store))
+            };
+            let reference = run(pair_update_portable);
+            for (name, kernel) in kernels() {
+                let (losses, params) = run(kernel);
+                proptest::prop_assert_eq!(&losses, &reference.0, "{}: losses", name);
+                // Any NaN equals any NaN: a NaN's payload is not part of
+                // the arithmetic the bodies must share.
+                let same = params.iter().zip(&reference.1).all(|(a, b)| {
+                    a == b || (f32::from_bits(*a).is_nan() && f32::from_bits(*b).is_nan())
+                });
+                proptest::prop_assert!(same, "{}: parameters", name);
+            }
+        }
+    }
+
+    /// A NaN parameter must show in the loss, so that the guard rolls back
+    /// or gives up. The sigmoid table used to read a NaN as its first bin,
+    /// and this run ended `Ok` with every row NaN.
+    #[test]
+    fn a_nan_parameter_trips_the_divergence_guard() {
+        let source = FlatPairs::new(community_pairs());
+        let negs = NegativeTable::uniform(8);
+        let trainer = SgnsTrainer::new(SgnsConfig {
+            epochs: 4,
+            lr: 0.05,
+            lr_min: 0.05,
+            negatives: 4,
+            threads: 1,
+            seed: 2,
+        });
+        let store = EmbeddingStore::new(8, 16, 1);
+        // SAFETY: single-threaded test, no concurrent access.
+        unsafe { store.source.row_mut(0)[3] = f32::NAN };
+        let result = trainer.try_train_with(
+            &store,
+            &source,
+            &negs,
+            TrainOptions {
+                guard: Some(DivergenceGuard::default()),
+                ..TrainOptions::default()
+            },
+        );
+        match result {
+            // The snapshot holds the NaN too: nothing healthy to go back to.
+            Err(Inf2vecError::Train(TrainError::Diverged { epoch, loss, .. })) => {
+                assert_eq!(epoch, 0);
+                assert!(loss.is_nan(), "diverged on loss {loss}");
+            }
+            Ok(report) => {
+                assert!(!report.recoveries.is_empty(), "no rollback: {report:?}");
+                assert!(!store.has_non_finite(), "Ok with a non-finite store");
+            }
+            Err(other) => panic!("expected a rollback or Diverged, got {other}"),
         }
     }
 
@@ -1211,6 +1363,26 @@ mod tests {
             // A dropped or repeated term would be off by ~scale / n.
             let err = (train_dot(x, y) as f64 - exact).abs();
             assert!(err <= 1e-6 * scale, "n={n}: error {err} against {scale}");
+        }
+    }
+
+    /// The dot's last bits rarely move the sigmoid bin, so the kernel
+    /// tests seldom see them: compare the AVX2 dot with `train_dot` itself.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn avx2_dot_equals_train_dot_bit_for_bit() {
+        if !std::arch::is_x86_feature_detected!("avx2") {
+            return;
+        }
+        let mut rng = Xoshiro256pp::new(6);
+        for n in 0..=70usize {
+            for _ in 0..50 {
+                let x: Vec<f32> = (0..2 * n).map(|_| rng.next_f32() * 2.0 - 1.0).collect();
+                let (x, y) = x.split_at(n);
+                // SAFETY: the CPU supports AVX2, checked above.
+                let simd = unsafe { avx2::dot(x, y) };
+                assert_eq!(simd.to_bits(), train_dot(x, y).to_bits(), "n={n}");
+            }
         }
     }
 

@@ -305,7 +305,9 @@ impl HealthEvaluator {
     }
 
     fn verdict(&self, rule: &Rule, value: f64, context: String) -> Check {
-        let state = if value > rule.failing {
+        // NaN is above no threshold, but a signal that is not a number (a
+        // NaN training loss) is broken, not healthy.
+        let state = if value > rule.failing || value.is_nan() {
             HealthState::Failing
         } else if value > rule.degraded {
             HealthState::Degraded
@@ -317,6 +319,7 @@ impl HealthEvaluator {
             HealthState::Degraded => {
                 format!("{context}; {value} > degraded threshold {}", rule.degraded)
             }
+            HealthState::Failing if value.is_nan() => format!("{context}; value is NaN"),
             HealthState::Failing => {
                 format!("{context}; {value} > failing threshold {}", rule.failing)
             }
@@ -405,6 +408,18 @@ mod tests {
         let report = ev.evaluate(r.snapshot());
         assert_eq!(report.checks[0].value, 0.4);
         assert_eq!(report.state, HealthState::Degraded);
+    }
+
+    #[test]
+    fn a_nan_gauge_is_failing() {
+        let (clock, _) = ManualClock::shared();
+        let ev = HealthEvaluator::new(policy(), clock);
+        let r = Registry::new();
+        r.gauge("lag_episodes", &[]).set(f64::NAN);
+        let report = ev.evaluate(r.snapshot());
+        assert_eq!(report.state, HealthState::Failing, "{report:?}");
+        assert!(report.checks[1].detail.contains("NaN"), "{report:?}");
+        assert!(report.to_json().contains("\"value\":null"));
     }
 
     #[test]

@@ -194,3 +194,29 @@ pub fn pipeline_health_policy() -> inf2vec_obs::HealthPolicy {
             0.25,
         ))
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use inf2vec_obs::{HealthEvaluator, HealthState, Registry};
+    use inf2vec_util::ManualClock;
+
+    /// One NaN episode loss makes the loss EMA NaN for good; the
+    /// divergence rule must read that as failing, not as below 6.
+    #[test]
+    fn a_nan_loss_ema_fails_the_loss_divergence_rule() {
+        let (clock, _) = ManualClock::shared();
+        let ev = HealthEvaluator::new(pipeline_health_policy(), clock);
+        let r = Registry::new();
+        let ema = 0.9 * 4.2 + 0.1 * f64::NAN;
+        r.gauge("inf2vec_pipeline_loss_ema", &[]).set(ema);
+        let report = ev.evaluate(r.snapshot());
+        let check = report
+            .checks
+            .iter()
+            .find(|c| c.name == "loss_divergence")
+            .expect("the policy has a loss rule");
+        assert_eq!(check.state, HealthState::Failing, "{report:?}");
+        assert_eq!(report.state, HealthState::Failing);
+    }
+}

@@ -81,14 +81,14 @@ impl AliasTable {
     }
 
     /// Draws one index with probability proportional to its weight.
+    ///
+    /// Home or alias is picked without a branch: on a skewed table the
+    /// choice is a coin flip that a branch predictor cannot learn.
     #[inline]
     pub fn sample(&self, rng: &mut Xoshiro256pp) -> usize {
         let i = rng.index(self.prob.len());
-        if rng.next_f64() < self.prob[i] {
-            i
-        } else {
-            self.alias[i] as usize
-        }
+        let home = rng.next_f64() < self.prob[i];
+        std::hint::select_unpredictable(home, i, self.alias[i] as usize)
     }
 }
 

@@ -15,7 +15,8 @@ pub fn sigmoid(x: f32) -> f32 {
 #[derive(Debug, Clone)]
 pub struct SigmoidTable {
     /// `(σ, ln max(σ, 1e-7), ln max(1 − σ, 1e-7))` per entry: the low
-    /// clamp, the `bins` grid samples, then the high clamp.
+    /// clamp, the `bins` grid samples, the high clamp, then all-NaN for a
+    /// NaN input.
     table: Vec<(f32, f64, f64)>,
     max_x: f32,
     scale: f32,
@@ -46,6 +47,7 @@ impl SigmoidTable {
                 let ln_pos = (s.max(1e-7) as f64).ln();
                 (s, ln_pos, ((1.0 - s).max(1e-7) as f64).ln())
             })
+            .chain(std::iter::once((f32::NAN, f64::NAN, f64::NAN)))
             .collect();
         Self {
             table,
@@ -54,7 +56,8 @@ impl SigmoidTable {
         }
     }
 
-    /// Looks up `σ(x)`, clamping to 0/1 outside `[-max_x, max_x]`.
+    /// Looks up `σ(x)`, clamping to 0/1 outside `[-max_x, max_x]`; NaN for
+    /// a NaN `x`.
     ///
     /// The maximum absolute error with the default parameters is below 3e-3,
     /// which is well inside SGD noise.
@@ -65,25 +68,33 @@ impl SigmoidTable {
 
     /// `σ(x)` with the two SGNS log-likelihood terms of the same entry:
     /// `(σ, ln max(σ, 1e-7), ln max(1 − σ, 1e-7))`. The logs are tabulated,
-    /// so they equal computing them from the returned `σ`, bit for bit.
+    /// so they equal computing them from the returned `σ`, bit for bit. A
+    /// NaN `x` gives NaN in all three, so a NaN parameter shows in the loss.
     #[inline]
     pub fn get_ln(&self, x: f32) -> (f32, f64, f64) {
         self.table[self.index(x)]
     }
 
-    /// Table entry for `x`: 0 below the range, `bins + 1` above it.
+    /// Table entry for `x`: 0 below the range, `bins + 1` above it,
+    /// `bins + 2` for NaN.
     #[inline]
     fn index(&self, x: f32) -> usize {
-        let last = self.table.len() - 1;
+        let nan = self.table.len() - 1;
+        let high = nan - 1;
         if x <= -self.max_x {
             return 0;
         }
         if x >= self.max_x {
-            return last;
+            return high;
+        }
+        // NaN fails both comparisons, and the cast below would map it to
+        // bin 1: a finite σ and finite logs.
+        if x.is_nan() {
+            return nan;
         }
         let idx = ((x + self.max_x) * self.scale) as usize;
         // Guard the upper boundary against float rounding.
-        1 + idx.min(last - 2)
+        1 + idx.min(high - 2)
     }
 }
 
@@ -155,6 +166,14 @@ mod tests {
         assert!(seen.iter().all(|&s| s), "every bin and both clamps swept");
         assert_eq!(t.get_ln(-max_x).0, 0.0);
         assert_eq!(t.get_ln(max_x).0, 1.0);
+    }
+
+    #[test]
+    fn nan_gives_nan_sigma_and_logs() {
+        let t = SigmoidTable::default();
+        let (s, ln_pos, ln_neg) = t.get_ln(f32::NAN);
+        assert!(s.is_nan() && ln_pos.is_nan() && ln_neg.is_nan());
+        assert!(t.get(-f32::NAN).is_nan());
     }
 
     #[test]
