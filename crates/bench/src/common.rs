@@ -91,9 +91,6 @@ pub struct Opts {
     pub archive_report: Option<PathBuf>,
     /// Destination for the soak report JSON (`--soak-report`).
     pub soak_report: Option<PathBuf>,
-    /// Destination for the pipeline perf-trajectory JSON
-    /// (`--soak-bench`): records/sec, publish latency, peak RSS.
-    pub soak_bench: Option<PathBuf>,
     /// Bind address for the live introspection endpoint during `soak` and
     /// `serve` (`--introspect`), e.g. `127.0.0.1:9600`.
     pub introspect: Option<String>,
@@ -140,7 +137,6 @@ impl Default for Opts {
             restore_out: None,
             archive_report: None,
             soak_report: None,
-            soak_bench: None,
             introspect: None,
             listen: None,
             load_seconds: None,

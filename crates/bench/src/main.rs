@@ -187,9 +187,6 @@ fn main() {
             "--soak-report" => {
                 opts.soak_report = Some(take_value(&mut i).into());
             }
-            "--soak-bench" => {
-                opts.soak_bench = Some(take_value(&mut i).into());
-            }
             "--introspect" => {
                 opts.introspect = Some(take_value(&mut i));
             }
@@ -326,7 +323,7 @@ fn print_help() {
                    /debug/flight — until killed (or for --load-seconds S)\n\n\
          soak:     repro soak [--long] [--soak-cycles N] [--soak-records N]\n\
                    [--soak-budget-bytes N] [--wall-clock S]\n\
-                   [--soak-report FILE] [--soak-bench FILE]\n\
+                   [--soak-report FILE]\n\
                    crash and recover the continuous-learning pipeline\n\
                    under injected faults (stage panics, torn journals,\n\
                    disk-write failures, a poisoned snapshot), compacting\n\
@@ -335,8 +332,7 @@ fn print_help() {
                    model for mid-stream users, then reconcile every\n\
                    record and prove replay bit-identity; --long runs the\n\
                    hours-equivalent preset, --wall-clock S keeps cycling\n\
-                   against real time, --soak-bench writes the\n\
-                   perf-trajectory JSON\n\n\
+                   against real time\n\n\
          restore:  repro restore [--archive-log FILE] [--restore-out FILE]\n\
                    rebuild the full logical action stream (archive\n\
                    segments ++ live log payload) from a soak workdir's\n\

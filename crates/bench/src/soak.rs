@@ -4,7 +4,7 @@
 //! ```text
 //! repro soak [--long] [--soak-cycles N] [--soak-records N] \
 //!     [--soak-budget-bytes N] [--wall-clock S] \
-//!     [--soak-report FILE] [--soak-bench FILE] \
+//!     [--soak-report FILE] \
 //!     [--telemetry-jsonl FILE] [--introspect ADDR]
 //! ```
 //!
@@ -26,12 +26,9 @@
 //!
 //! `--long` selects the hours-equivalent preset
 //! ([`SoakConfig::long`]); `--wall-clock S` keeps cycling against real
-//! elapsed time instead of a fixed cycle count; `--soak-bench FILE`
-//! writes the pipeline perf-trajectory JSON (records/sec, mean publish
-//! latency, peak RSS, archive seal/expiry/restore stats) that
-//! `BENCH_pipeline.json` tracks across commits.
+//! elapsed time instead of a fixed cycle count.
 
-use inf2vec_obs::{IntrospectServer, SampleValue, Telemetry};
+use inf2vec_obs::{IntrospectServer, Telemetry};
 use inf2vec_pipeline::{pipeline_health_policy, run_soak, SoakConfig};
 
 use crate::common::Opts;
@@ -163,117 +160,7 @@ pub fn soak(opts: &Opts) {
             Err(e) => die(&format!("cannot write {}: {e}", path.display())),
         }
     }
-    if let Some(path) = &opts.soak_bench {
-        let bench = bench_json(&report, &telemetry, wall_secs);
-        match std::fs::write(path, &bench) {
-            Ok(()) => opts.note(&format!("[soak] perf trajectory written to {}", path.display())),
-            Err(e) => die(&format!("cannot write {}: {e}", path.display())),
-        }
-    }
     if !report.passed() {
         die("pipeline soak failed to reconcile (see report above)");
     }
-}
-
-/// Mean of the `inf2vec_pipeline_publish_seconds` histogram, when the
-/// run recorded any successful installs.
-fn publish_latency_secs(telemetry: &Telemetry) -> Option<f64> {
-    let snap = telemetry.snapshot();
-    match &snap.get("inf2vec_pipeline_publish_seconds")?.value {
-        SampleValue::Histogram { sum, count, .. } if *count > 0 => {
-            Some(sum / *count as f64)
-        }
-        _ => None,
-    }
-}
-
-/// Peak resident set size in kilobytes, from `/proc/self/status` VmHWM.
-/// Linux-only; other platforms report 0 (the trajectory file notes it).
-fn peak_rss_kb() -> u64 {
-    if !cfg!(target_os = "linux") {
-        return 0;
-    }
-    let status = match std::fs::read_to_string("/proc/self/status") {
-        Ok(s) => s,
-        Err(_) => return 0,
-    };
-    status
-        .lines()
-        .find(|l| l.starts_with("VmHWM:"))
-        .and_then(|l| l.split_whitespace().nth(1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0)
-}
-
-/// The pipeline perf-trajectory JSON (`BENCH_pipeline.json` shape):
-/// throughput, publish latency, peak RSS, and the invariant flags the
-/// numbers are only meaningful under.
-fn bench_json(
-    report: &inf2vec_pipeline::SoakReport,
-    telemetry: &Telemetry,
-    wall_secs: f64,
-) -> String {
-    let records = report.written_good + report.written_bad;
-    let records_per_sec = if wall_secs > 0.0 {
-        records as f64 / wall_secs
-    } else {
-        0.0
-    };
-    let publish_ms = publish_latency_secs(telemetry)
-        .map(|s| s * 1e3)
-        .unwrap_or(0.0);
-    format!(
-        concat!(
-            "{{\n",
-            "  \"note\": \"Continuous-learning pipeline perf trajectory from `repro soak",
-            " --soak-bench`. Wall clock covers the crash cycles plus the bit-identity",
-            " verify replay; publish latency is the mean successful install (sink call",
-            " only, no backoff); peak RSS is /proc VmHWM (0 off-Linux). Absolute numbers",
-            " are host-dependent; the invariant flags must all be true for the numbers",
-            " to count.\",\n",
-            "  \"records_processed\": {},\n",
-            "  \"wall_clock_secs\": {:.3},\n",
-            "  \"records_per_sec\": {:.1},\n",
-            "  \"publish_latency_ms_mean\": {:.4},\n",
-            "  \"peak_rss_kb\": {},\n",
-            "  \"compactions\": {},\n",
-            "  \"max_live_log_bytes\": {},\n",
-            "  \"archive_segments_sealed\": {},\n",
-            "  \"archive_segments_expired\": {},\n",
-            "  \"archive_bytes_reclaimed\": {},\n",
-            "  \"archive_bytes_dropped\": {},\n",
-            "  \"archive_segments_final\": {},\n",
-            "  \"restore_verify_secs\": {:.4},\n",
-            "  \"publishes_withheld\": {},\n",
-            "  \"final_rows\": {},\n",
-            "  \"invariants\": {{\"balanced\": {}, \"bit_identical\": {}, \"disk_bounded\": {},",
-            " \"disk_budget_held\": {}, \"expiry_exact\": {}, \"restore_identical\": {},",
-            " \"growth_ok\": {}, \"quality_gate_held\": {}, \"passed\": {}}}\n",
-            "}}\n"
-        ),
-        records,
-        wall_secs,
-        records_per_sec,
-        publish_ms,
-        peak_rss_kb(),
-        report.compactions,
-        report.max_live_log_bytes,
-        report.segments_sealed,
-        report.segments_expired,
-        report.bytes_reclaimed,
-        report.bytes_dropped,
-        report.segments_final,
-        report.restore_verify_secs,
-        report.publishes.2,
-        report.final_rows,
-        report.balanced,
-        report.bit_identical,
-        report.disk_bounded,
-        report.disk_budget_held,
-        report.expiry_exact,
-        report.restore_identical,
-        report.growth_ok,
-        report.quality_gate_held,
-        report.passed(),
-    )
 }

@@ -101,7 +101,13 @@ pub fn try_train_on_networks(
     let source = InfluenceContextSource::new(nets, config);
     // Negative sampling over the context-target distribution (unigram^0.75).
     let negatives = NegativeTable::from_counts(&source.context_target_counts(n_nodes));
-    run_sgns(n_nodes, &source, &negatives, config)
+    train_resumable_on_source(
+        n_nodes,
+        &source,
+        &negatives,
+        config,
+        &FaultTolerance::default(),
+    )
 }
 
 /// Trains directly on first-order influence pairs, skipping Algorithm 1.
@@ -134,7 +140,8 @@ pub fn try_train_on_pairs(
     // would cancel exactly the popularity signal the conformity bias should
     // capture.
     let negatives = NegativeTable::uniform(n_nodes as u32);
-    Ok(run_sgns(n_nodes, &source, &negatives, config)?.0)
+    let ft = FaultTolerance::default();
+    Ok(train_resumable_on_source(n_nodes, &source, &negatives, config, &ft)?.0)
 }
 
 /// Selects the component weight α on the tuning split, mirroring the
@@ -365,36 +372,6 @@ pub fn train_resumable_on_source(
             guard: ft.guard.clone(),
             on_epoch,
             telemetry: config.telemetry.clone(),
-        },
-    )?;
-    Ok((Inf2vecModel::new(store), report))
-}
-
-fn run_sgns(
-    n_nodes: usize,
-    source: &dyn PairSource,
-    negatives: &NegativeTable,
-    config: &Inf2vecConfig,
-) -> Result<(Inf2vecModel, TrainReport), Inf2vecError> {
-    // Line 1: initialize S, T ~ U[-1/K, 1/K], biases 0.
-    let mut store = EmbeddingStore::new(n_nodes, config.k, split_seed(config.seed, 0x171));
-    store.use_bias = config.use_bias;
-    // Lines 9-17: SGD with negative sampling until convergence.
-    let trainer = SgnsTrainer::try_new(SgnsConfig {
-        negatives: config.negatives,
-        lr: config.lr,
-        lr_min: config.lr,
-        epochs: config.epochs,
-        threads: config.threads,
-        seed: split_seed(config.seed, 0x262),
-    })?;
-    let report = trainer.try_train_with(
-        &store,
-        source,
-        negatives,
-        TrainOptions {
-            telemetry: config.telemetry.clone(),
-            ..TrainOptions::default()
         },
     )?;
     Ok((Inf2vecModel::new(store), report))

@@ -6,41 +6,31 @@
 //! `catch_unwind` containment and the crash-resume path. Nothing on a
 //! production code path constructs these types.
 
-use std::sync::atomic::{AtomicI64, Ordering};
-
+use inf2vec_util::faultinject::{Fault, FaultPlan};
 use inf2vec_util::rng::Xoshiro256pp;
 
 use crate::sgns::PairSource;
 
 /// A [`PairSource`] that delivers pairs normally, then panics exactly once
-/// on the `n`-th pair (1-based, counted across all shards and epochs).
+/// on the `n`-th pair (1-based, counted across all shards and epochs):
+/// one [`Fault::PairPanic`] threshold of a [`FaultPlan`].
 #[derive(Debug)]
 pub struct PanicAfter<S> {
     inner: S,
-    countdown: AtomicI64,
+    plan: FaultPlan,
     message: &'static str,
 }
 
 impl<S: PairSource> PanicAfter<S> {
     /// Panics with `message` on the `nth_pair`-th pair (1-based). The
-    /// counter keeps decrementing past zero, so the panic fires exactly
-    /// once even under concurrent shards or after a resume.
+    /// threshold fires once, so the panic fires exactly once even under
+    /// concurrent shards or after a resume.
     pub fn new(inner: S, nth_pair: u64, message: &'static str) -> Self {
         Self {
             inner,
-            countdown: AtomicI64::new(nth_pair.max(1) as i64),
+            plan: FaultPlan::none().with(Fault::PairPanic, [nth_pair.max(1)]),
             message,
         }
-    }
-
-    /// Pairs still to be delivered before the panic (0 once fired).
-    pub fn remaining(&self) -> u64 {
-        self.countdown.load(Ordering::SeqCst).max(0) as u64
-    }
-
-    /// Unwraps the inner source.
-    pub fn into_inner(self) -> S {
-        self.inner
     }
 }
 
@@ -55,7 +45,7 @@ impl<S: PairSource> PairSource for PanicAfter<S> {
     ) {
         self.inner
             .for_each_pair(epoch, shard, n_shards, rng, &mut |u, v| {
-                if self.countdown.fetch_sub(1, Ordering::SeqCst) == 1 {
+                if self.plan.tick(Fault::PairPanic) {
                     panic!("{}", self.message);
                 }
                 f(u, v);
@@ -89,7 +79,6 @@ mod tests {
         }));
         assert!(result.is_err());
         assert_eq!(delivered, 4, "4 pairs precede the 5th");
-        assert_eq!(src.remaining(), 0);
         // Subsequent traversals proceed without a second panic.
         src.for_each_pair(0, 0, 1, &mut rng, &mut |_, _| delivered += 1);
         assert_eq!(delivered, 4 + 100);

@@ -1,10 +1,9 @@
 //! Segmented, bounded-disk archive for compacted log prefixes.
 //!
-//! [`compact_to`](crate::compact_to) rotates consumed bytes out of the
-//! live action log; this module is where those bytes go when the caller
-//! wants the full logical stream to stay replayable *without* letting a
-//! single `<log>.archive` file grow until the disk fills. The store is a
-//! directory beside the log:
+//! A [`LogStore`](crate::LogStore) rotates consumed bytes out of the live
+//! action log; this module is where those bytes go, so the full logical
+//! stream stays replayable without the archive growing until the disk
+//! fills. The store is a directory beside the log:
 //!
 //! ```text
 //! <log>.archive.d/
@@ -36,8 +35,11 @@
 //! Sealing has the same discipline: the segment file is written
 //! atomically (a crash leaves either no segment or a complete one), and
 //! a retried seal is a no-op for bytes the store already holds, so the
-//! seal → live-rewrite sequence in the pipeline can die between any two
-//! steps without duplicating or losing a byte.
+//! log store's seal → live-rewrite sequence can die between any two
+//! steps without duplicating or losing a byte. [`ArchiveStore::open`],
+//! [`verify`](ArchiveStore::verify) and
+//! [`restore_to`](ArchiveStore::restore_to) are public for offline tools;
+//! only the log store writes.
 
 use std::fs;
 use std::io::{self, Write};
@@ -47,7 +49,7 @@ use std::time::Duration;
 use inf2vec_util::faultinject::FailingWriter;
 use inf2vec_util::{atomic_write, fnv1a};
 
-use crate::tail::{read_header, render_sentinel, TailPosition};
+use crate::tail::{read_header, render_sentinel, LiveLog, TailPosition};
 
 /// Archive segment/manifest schema version (bump on incompatible change).
 pub const ARCHIVE_SCHEMA_VERSION: u32 = 1;
@@ -164,10 +166,10 @@ pub struct ArchiveStart {
     pub line: u64,
 }
 
-/// Byte / segment-count / age budgets driving [`ArchiveStore::expire`].
-/// A zero (or `None`) budget means "unlimited" on that axis. Segments
-/// inside the journal replay window are never expired regardless of
-/// budgets.
+/// Byte / segment-count / age budgets a [`LogStore`](crate::LogStore)
+/// expires archive segments under. A zero (or `None`) budget means
+/// "unlimited" on that axis. Segments inside the journal replay window
+/// are never expired regardless of budgets.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RetentionPolicy {
     /// Expire oldest segments while retained payload exceeds this.
@@ -188,11 +190,11 @@ impl RetentionPolicy {
 
 /// What one [`ArchiveStore::expire`] call reclaimed.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ExpiryStats {
+pub(crate) struct ExpiryStats {
     /// Segments expired.
-    pub segments: u64,
+    pub(crate) segments: u64,
     /// Payload bytes reclaimed.
-    pub bytes: u64,
+    pub(crate) bytes: u64,
 }
 
 /// What one [`ArchiveStore::restore_to`] call reconstructed.
@@ -344,7 +346,7 @@ impl ArchiveStore {
     /// segment. The write is atomic: a crash (or the injected
     /// `fail_after` disk fault) leaves no segment and the store
     /// unchanged. Returns the new segment's metadata.
-    pub fn seal(
+    pub(crate) fn seal(
         &mut self,
         payload: &[u8],
         lines: u64,
@@ -380,48 +382,31 @@ impl ArchiveStore {
     }
 
     /// Seals every live-log payload byte in `[self.end_offset(), upto)`
-    /// as one segment — the slice a compaction at `upto` is about to
-    /// drop. Idempotent: bytes the store already holds are skipped, so a
-    /// retried seal (after a crashed or failed live rewrite) never
+    /// as one segment — the slice a compaction at `log.upto()` is about
+    /// to drop. Idempotent: bytes the store already holds are skipped, so
+    /// a retried seal (after a crashed or failed live rewrite) never
     /// duplicates. Returns the payload bytes sealed (0 = nothing new).
     ///
     /// Fails typed when the live log's base has moved past the archive's
     /// end (a hole: bytes were dropped unarchived); the caller decides
     /// whether to [`rebase`](Self::rebase_to) over the gap.
-    pub fn seal_from_log(
+    pub(crate) fn seal_from(
         &mut self,
-        log_path: &Path,
-        upto: TailPosition,
+        log: &LiveLog,
         now_ms: u64,
         fail_after: Option<usize>,
     ) -> io::Result<u64> {
-        let end = self.end_offset();
+        let (end, upto, base) = (self.end_offset(), log.upto(), log.base().offset);
         if upto.offset <= end {
             return Ok(0);
         }
-        let bytes = fs::read(log_path)?;
-        let header = {
-            let mut f = fs::File::open(log_path)?;
-            read_header(&mut f)?
-        };
-        if end < header.base {
+        if end < base {
             return Err(corrupt(format!(
-                "live log base {} is past the archive end {end}: \
-                 [{end}, {}) was dropped unarchived",
-                header.base, header.base
+                "live log base {base} is past the archive end {end}: \
+                 [{end}, {base}) was dropped unarchived"
             )));
         }
-        let payload = &bytes[header.header_len as usize..];
-        let from = (end - header.base) as usize;
-        let to = (upto.offset - header.base) as usize;
-        if to > payload.len() {
-            return Err(corrupt(format!(
-                "seal to offset {} is past the log's logical end {}",
-                upto.offset,
-                header.base + payload.len() as u64
-            )));
-        }
-        let slice = &payload[from..to];
+        let slice = log.slice_from(end);
         let lines = upto.line_no - self.end_line();
         let newlines = slice.iter().filter(|&&b| b == b'\n').count() as u64;
         if newlines != lines {
@@ -441,7 +426,7 @@ impl ArchiveStore {
     /// the injected `fail_after` disk fault hitting *that* write, the
     /// old manifest survives untouched), then the segment files are
     /// unlinked; [`open`](Self::open) finishes an interrupted unlink.
-    pub fn expire(
+    pub(crate) fn expire(
         &mut self,
         policy: &RetentionPolicy,
         floor_offset: u64,
@@ -524,17 +509,13 @@ impl ArchiveStore {
     /// can no longer be joined to the live log. Returns the payload
     /// bytes discarded. Same manifest-before-delete discipline as
     /// [`expire`](Self::expire).
-    pub fn rebase_to(
-        &mut self,
-        pos: TailPosition,
-        fail_after: Option<usize>,
-    ) -> io::Result<u64> {
+    pub(crate) fn rebase_to(&mut self, pos: TailPosition) -> io::Result<u64> {
         let new_start = ArchiveStart {
             seq: self.next_seq(),
             offset: pos.offset,
             line: pos.line_no,
         };
-        write_manifest(&self.dir, new_start, fail_after)?;
+        write_manifest(&self.dir, new_start, None)?;
         let discarded = self.payload_bytes();
         for seg in &self.segments {
             let _ = fs::remove_file(self.dir.join(seg.file_name()));
@@ -880,13 +861,15 @@ mod tests {
         let log = dir.join("actions.log");
         fs::write(&log, b"0 0 1\n1 0 2\n2 0 3\n").unwrap();
         let mut store = ArchiveStore::open(dir.join("a.d")).unwrap();
-        let upto = TailPosition { offset: 12, line_no: 2 };
-        assert_eq!(store.seal_from_log(&log, upto, 0, None).unwrap(), 12);
+        let seal = |store: &mut ArchiveStore, offset, line_no| {
+            let live = LiveLog::read(&log, TailPosition { offset, line_no }).unwrap();
+            store.seal_from(&live, 0, None).unwrap()
+        };
+        assert_eq!(seal(&mut store, 12, 2), 12);
         // The live rewrite failed; the next boundary retries the seal at
         // the same (or a later) position — nothing is duplicated.
-        assert_eq!(store.seal_from_log(&log, upto, 0, None).unwrap(), 0);
-        let later = TailPosition { offset: 18, line_no: 3 };
-        assert_eq!(store.seal_from_log(&log, later, 0, None).unwrap(), 6);
+        assert_eq!(seal(&mut store, 12, 2), 0);
+        assert_eq!(seal(&mut store, 18, 3), 6);
         assert_eq!(store.payload_bytes(), 18);
         store.verify(None).unwrap();
     }
@@ -955,7 +938,7 @@ mod tests {
         let (mut store, _) = seed_store(&dir.join("a.d"), &["0 0 1\n", "1 0 2\n"]);
         // A hole: the live log starts past the archive end.
         let pos = TailPosition { offset: 30, line_no: 5 };
-        let discarded = store.rebase_to(pos, None).unwrap();
+        let discarded = store.rebase_to(pos).unwrap();
         assert_eq!(discarded, 12);
         assert!(store.segments().is_empty());
         assert_eq!(store.start().offset, 30);

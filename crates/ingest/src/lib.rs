@@ -31,6 +31,9 @@
 //! - [`LogTail`] — resumable tailing of an append-only action log for the
 //!   continuous-learning pipeline: complete-lines-only consumption and a
 //!   persistable [`TailPosition`] so a crash replays exactly once.
+//! - [`LogStore`] — the one owner of that log and its segmented
+//!   [`ArchiveStore`]: crash-safe compaction under a byte budget (seal →
+//!   rewrite → expire), retention, and counted degradation.
 //!
 //! Telemetry: when [`IngestConfig::telemetry`] is enabled, ingestion emits
 //! `ingest_started` / `record_quarantined` / `ingest_finished` events and
@@ -64,20 +67,19 @@ mod lines;
 mod parse;
 mod policy;
 mod report;
+mod store;
 mod tail;
 mod validated;
 
 pub use archive::{
-    archive_dir, ArchiveStart, ArchiveStore, ExpiryStats, RestoreStats, RetentionPolicy,
-    SegmentMeta, VerifyReport, ARCHIVE_SCHEMA_VERSION,
+    archive_dir, ArchiveStart, ArchiveStore, RestoreStats, RetentionPolicy, SegmentMeta,
+    VerifyReport, ARCHIVE_SCHEMA_VERSION,
 };
 pub use idmap::IdMap;
 pub use policy::{ErrorPolicy, IdMode, IngestConfig, RATIO_MIN_RECORDS};
 pub use report::{DefectSample, Disposition, IngestReport, SAMPLE_MAX_CHARS};
-pub use tail::{
-    compact_to, compact_to_with, sentinel_base, ActionRecord, CompactionStats, LogTail, TailItem,
-    TailPosition,
-};
+pub use store::{ArchiveCounters, LogStore, LogStoreConfig};
+pub use tail::{ActionRecord, LogTail, TailItem, TailPosition};
 pub use validated::{Ingestor, ValidatedDataset};
 
 // The taxonomy and error type live in the workspace error hierarchy

@@ -1,5 +1,5 @@
-//! Resumable tailing of an append-only `user item time` action log, with
-//! rotation-aware compaction.
+//! Resumable tailing of an append-only `user item time` action log, and
+//! the rotation sentinel that compaction leaves at its head.
 //!
 //! A [`LogTail`] polls the log file for *complete* lines past a committed
 //! byte offset. A trailing line without its `\n` terminator is presumed to
@@ -19,8 +19,9 @@
 //! # Rotation, compaction, and logical offsets
 //!
 //! An immortal log file grows without bound, so long-running pipelines
-//! periodically rotate the fully-consumed prefix away with [`compact_to`].
-//! The compacted file opens with a **sentinel header line**
+//! periodically rotate the fully-consumed prefix away through a
+//! [`LogStore`](crate::LogStore). The compacted file opens with a
+//! **sentinel header line**
 //!
 //! ```text
 //! #inf2vec-log v1 base <offset> lines <count>
@@ -52,6 +53,7 @@ use std::path::{Path, PathBuf};
 use inf2vec_obs::{Event, Telemetry};
 use inf2vec_util::atomic_write;
 use inf2vec_util::error::{DefectKind, IngestError};
+use inf2vec_util::faultinject::FailingWriter;
 
 use crate::lines::LineStream;
 use crate::parse::{parse_id, parse_time, TimeParse};
@@ -87,12 +89,14 @@ fn parse_sentinel(line: &str) -> Option<(u64, u64)> {
     it.next().is_none().then_some((base, lines))
 }
 
+/// A sentinel is a short first line; 128 bytes is comfortably enough for
+/// two u64s and the magic.
+const SENTINEL_PROBE: usize = 128;
+
 /// Reads the (optional) sentinel header from an open log file. The file's
 /// read position afterwards is unspecified; callers must seek.
 pub(crate) fn read_header(file: &mut fs::File) -> io::Result<LogHeader> {
-    // A sentinel is a short first line; 128 bytes is comfortably enough
-    // for two u64s and the magic.
-    let mut buf = [0u8; 128];
+    let mut buf = [0u8; SENTINEL_PROBE];
     file.seek(SeekFrom::Start(0))?;
     let mut got = 0;
     while got < buf.len() {
@@ -101,31 +105,37 @@ pub(crate) fn read_header(file: &mut fs::File) -> io::Result<LogHeader> {
             n => got += n,
         }
     }
-    let head = &buf[..got];
+    Ok(parse_header(&buf[..got]))
+}
+
+/// Parses the (optional) sentinel header at the start of `bytes`; only
+/// the first [`SENTINEL_PROBE`] bytes are looked at.
+fn parse_header(bytes: &[u8]) -> LogHeader {
+    let head = &bytes[..bytes.len().min(SENTINEL_PROBE)];
     if !head.starts_with(SENTINEL_MAGIC.as_bytes()) {
-        return Ok(LogHeader::default());
+        return LogHeader::default();
     }
     let Some(nl) = head.iter().position(|&b| b == b'\n') else {
         // Starts like a sentinel but the line is not terminated within the
         // probe window. Compaction writes sentinels atomically, so this is
         // a foreign or torn file; treat it as payload.
-        return Ok(LogHeader::default());
+        return LogHeader::default();
     };
     let line = std::str::from_utf8(&head[..nl]).ok().map(str::trim_end);
     match line.and_then(parse_sentinel) {
-        Some((base, lines)) => Ok(LogHeader {
+        Some((base, lines)) => LogHeader {
             base,
             lines,
             header_len: nl as u64 + 1,
-        }),
-        None => Ok(LogHeader::default()),
+        },
+        None => LogHeader::default(),
     }
 }
 
 /// Returns the rotation sentinel of `path` as `(logical base offset,
 /// logical lines before the file)`, `(0, 0)` when the file has none, and
 /// `None` when the file does not exist.
-pub fn sentinel_base(path: &Path) -> io::Result<Option<(u64, u64)>> {
+pub(crate) fn sentinel_base(path: &Path) -> io::Result<Option<(u64, u64)>> {
     let mut file = match fs::File::open(path) {
         Ok(f) => f,
         Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
@@ -135,119 +145,124 @@ pub fn sentinel_base(path: &Path) -> io::Result<Option<(u64, u64)>> {
     Ok(Some((h.base, h.lines)))
 }
 
-/// What one [`compact_to`] call did.
+/// What one [`LiveLog::rewrite`] did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct CompactionStats {
+pub(crate) struct CompactionStats {
     /// Physical payload bytes rotated out of the live file.
-    pub dropped_bytes: u64,
+    pub(crate) dropped_bytes: u64,
     /// Physical bytes the live file holds afterwards (sentinel included).
-    pub live_bytes: u64,
+    pub(crate) live_bytes: u64,
     /// The live file's logical base offset afterwards.
-    pub base: u64,
+    pub(crate) base: u64,
 }
 
-/// Rotates every payload byte below the logical position `pos` out of the
-/// log at `path`, atomically rewriting the file as a sentinel header plus
-/// the surviving suffix. When `archive` is given, the dropped bytes are
-/// appended there first (so `archive ++ live payload` reconstructs the
-/// full logical stream, e.g. for a bit-identity replay).
-///
-/// `pos` must be a committed [`TailPosition`] (it always falls on a line
-/// boundary) that every consumer has both applied *and* durably journaled:
-/// after compaction, no resume point below `pos.offset` is servable.
-/// Concurrent *readers* are safe (the rewrite is an atomic rename; a
-/// reader holding the old file sees a consistent old snapshot). Concurrent
-/// appenders are not — the producer must reopen the path per append and be
-/// quiescent across this call, or its in-flight appends are lost.
-///
-/// Compacting at or below the current base is a no-op.
-pub fn compact_to(
-    path: &Path,
-    pos: TailPosition,
-    archive: Option<&Path>,
-) -> io::Result<CompactionStats> {
-    compact_to_with(path, pos, archive, None)
+/// The live log read whole, once per compaction, with the position the
+/// compaction cuts at: the seal and the rewrite both work from this one
+/// snapshot.
+#[derive(Debug)]
+pub(crate) struct LiveLog {
+    bytes: Vec<u8>,
+    header: LogHeader,
+    upto: TailPosition,
 }
 
-/// [`compact_to`] with an injected disk fault: when `fail_after_bytes` is
-/// `Some(limit)`, the atomic rewrite accepts `limit` bytes and then fails
-/// like a full disk — the destination is left untouched (and the call is
-/// safe to retry: the archive append is idempotent, tracking how many
-/// logical bytes it already holds).
-pub fn compact_to_with(
-    path: &Path,
-    pos: TailPosition,
-    archive: Option<&Path>,
-    fail_after_bytes: Option<usize>,
-) -> io::Result<CompactionStats> {
-    let bytes = fs::read(path)?;
-    let header = {
-        let mut f = fs::File::open(path)?;
-        read_header(&mut f)?
-    };
-    if pos.offset <= header.base {
-        return Ok(CompactionStats {
-            dropped_bytes: 0,
-            live_bytes: bytes.len() as u64,
-            base: header.base,
-        });
-    }
-    let drop = pos.offset - header.base;
-    let payload = &bytes[header.header_len as usize..];
-    if drop > payload.len() as u64 {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidInput,
-            format!(
-                "compact_to offset {} is past the log's logical end {}",
-                pos.offset,
-                header.base + payload.len() as u64
-            ),
-        ));
-    }
-    let (dropped, kept) = payload.split_at(drop as usize);
-    if let Some(archive) = archive {
-        // The archive invariantly holds logical bytes `[0, len)`. A prior
-        // compaction attempt that archived and then failed the rewrite
-        // left `len > header.base`; skip what it already wrote so retries
-        // never duplicate bytes.
-        let archived = fs::metadata(archive).map(|m| m.len()).unwrap_or(0);
-        if archived < header.base {
+impl LiveLog {
+    /// Reads the log at `path` to compact it below the logical position
+    /// `upto`. `upto` must be a committed [`TailPosition`] (it always
+    /// falls on a line boundary) that every consumer has applied and
+    /// durably journaled; a position past the log's logical end is an
+    /// error.
+    pub(crate) fn read(path: &Path, upto: TailPosition) -> io::Result<Self> {
+        let bytes = fs::read(path)?;
+        let header = parse_header(&bytes);
+        let log = Self {
+            bytes,
+            header,
+            upto,
+        };
+        if upto.offset > log.end() {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidInput,
                 format!(
-                    "archive {} holds {archived} logical bytes but the live log \
-                     already starts at base {}: the stream prefix is unrecoverable",
-                    archive.display(),
-                    header.base
+                    "compaction offset {} is past the log's logical end {}",
+                    upto.offset,
+                    log.end()
                 ),
             ));
         }
-        let skip = (archived - header.base).min(drop) as usize;
-        if skip < dropped.len() {
-            let mut f = fs::OpenOptions::new()
-                .create(true)
-                .append(true)
-                .open(archive)?;
-            f.write_all(&dropped[skip..])?;
-            f.sync_all()?;
+        Ok(log)
+    }
+
+    /// The logical position of the file's first payload byte.
+    pub(crate) fn base(&self) -> TailPosition {
+        TailPosition {
+            offset: self.header.base,
+            line_no: self.header.lines,
         }
     }
-    let sentinel = render_sentinel(pos);
-    atomic_write(path, |f| {
-        let mut w: Box<dyn Write> = match fail_after_bytes {
-            Some(limit) => {
-                Box::new(inf2vec_util::faultinject::FailingWriter::new(&mut *f, limit))
-            }
-            None => Box::new(&mut *f),
-        };
-        w.write_all(sentinel.as_bytes())?;
-        w.write_all(kept)
-    })?;
-    Ok(CompactionStats {
-        dropped_bytes: drop,
-        live_bytes: sentinel.len() as u64 + kept.len() as u64,
-        base: pos.offset,
-    })
+
+    /// The position the compaction cuts at.
+    pub(crate) fn upto(&self) -> TailPosition {
+        self.upto
+    }
+
+    fn payload(&self) -> &[u8] {
+        &self.bytes[self.header.header_len as usize..]
+    }
+
+    fn end(&self) -> u64 {
+        self.header.base + self.payload().len() as u64
+    }
+
+    /// The payload bytes at logical offsets `[from, upto)`; `from` must
+    /// lie in `[base, upto]`.
+    pub(crate) fn slice_from(&self, from: u64) -> &[u8] {
+        let base = self.header.base;
+        &self.payload()[(from - base) as usize..(self.upto.offset - base) as usize]
+    }
+
+    /// Rotates every payload byte below `upto` out of the log at `path`,
+    /// atomically rewriting the file as a sentinel header plus the
+    /// surviving suffix; a cut at or below the current base is a no-op.
+    /// When `fail_after_bytes` is `Some(limit)`, the rewrite accepts
+    /// `limit` bytes and then fails like a full disk, leaving the file
+    /// untouched.
+    ///
+    /// Concurrent *readers* are safe (the rewrite is an atomic rename; a
+    /// reader holding the old file sees a consistent old snapshot).
+    /// Concurrent appenders are not — the producer must reopen the path
+    /// per append and be quiescent across a compaction, or its appends
+    /// since the read are lost.
+    pub(crate) fn rewrite(
+        &self,
+        path: &Path,
+        fail_after_bytes: Option<usize>,
+    ) -> io::Result<CompactionStats> {
+        let base = self.header.base;
+        if self.upto.offset <= base {
+            return Ok(CompactionStats {
+                dropped_bytes: 0,
+                live_bytes: self.bytes.len() as u64,
+                base,
+            });
+        }
+        let drop = self.upto.offset - base;
+        let kept = &self.payload()[drop as usize..];
+        let sentinel = render_sentinel(self.upto);
+        atomic_write(path, |f| {
+            let mut w: Box<dyn Write> = match fail_after_bytes {
+                Some(limit) => Box::new(FailingWriter::new(&mut *f, limit)),
+                None => Box::new(&mut *f),
+            };
+            w.write_all(sentinel.as_bytes())?;
+            w.write_all(kept)
+        })?;
+        Ok(CompactionStats {
+            dropped_bytes: drop,
+            live_bytes: sentinel.len() as u64 + kept.len() as u64,
+            base: self.upto.offset,
+        })
+    }
 }
 
 /// One parsed action: `user` activated on `item` at `time`.
@@ -486,6 +501,13 @@ mod tests {
         f.write_all(bytes).unwrap();
     }
 
+    fn compact(path: &Path, pos: TailPosition) -> CompactionStats {
+        LiveLog::read(path, pos)
+            .unwrap()
+            .rewrite(path, None)
+            .unwrap()
+    }
+
     fn rec(line_no: u64, user: u32, item: u32, time: u64) -> TailItem {
         TailItem::Record(ActionRecord {
             line_no,
@@ -644,20 +666,19 @@ mod tests {
     #[test]
     fn compaction_rewrites_prefix_and_resume_continues_identically() {
         let path = tmp("compact.log");
-        let archive = tmp("compact.archive");
         std::fs::remove_file(&path).ok();
-        std::fs::remove_file(&archive).ok();
         append(&path, b"0 0 1\n1 0 2\n2 0 3\n");
         let mut tail = LogTail::new(&path, 10);
         assert_eq!(tail.poll(2).unwrap().len(), 2);
         let pos = tail.position();
 
-        let stats = compact_to(&path, pos, Some(&archive)).unwrap();
+        let stats = compact(&path, pos);
         assert_eq!(stats.dropped_bytes, pos.offset);
         assert_eq!(stats.base, pos.offset);
-        assert_eq!(sentinel_base(&path).unwrap(), Some((pos.offset, pos.line_no)));
-        // Archive holds exactly the rotated payload bytes.
-        assert_eq!(std::fs::read(&archive).unwrap(), b"0 0 1\n1 0 2\n");
+        assert_eq!(
+            sentinel_base(&path).unwrap(),
+            Some((pos.offset, pos.line_no))
+        );
 
         // The same tail keeps polling across the rotation...
         assert_eq!(tail.poll(100).unwrap(), vec![rec(3, 2, 0, 3)]);
@@ -667,7 +688,7 @@ mod tests {
         assert_eq!(resumed.poll(100).unwrap(), vec![rec(4, 3, 0, 4)]);
 
         // Compacting again at or below the base is a no-op.
-        let again = compact_to(&path, pos, None).unwrap();
+        let again = compact(&path, pos);
         assert_eq!(again.dropped_bytes, 0);
         assert_eq!(again.base, pos.offset);
 
@@ -680,7 +701,6 @@ mod tests {
             other => panic!("expected LogRotated, got {other:?}"),
         }
         std::fs::remove_file(&path).ok();
-        std::fs::remove_file(&archive).ok();
     }
 
     #[test]
@@ -690,10 +710,10 @@ mod tests {
         append(&path, b"0 0 1\n1 0 2\n");
         let mut tail = LogTail::new(&path, 10);
         assert_eq!(tail.poll(1).unwrap().len(), 1);
-        compact_to(&path, tail.position(), None).unwrap();
+        compact(&path, tail.position());
         append(&path, b"2 0 3\n3 0 4\n");
         assert_eq!(tail.poll(2).unwrap().len(), 2);
-        compact_to(&path, tail.position(), None).unwrap();
+        compact(&path, tail.position());
         assert_eq!(
             sentinel_base(&path).unwrap(),
             Some((tail.position().offset, tail.position().line_no))

@@ -3,9 +3,9 @@
 //! An [`Event`] is a kind tag plus an ordered list of typed fields. On the
 //! wire each event is one JSON object per line: the kind under the `"event"`
 //! key first, then the fields in insertion order —
-//! `{"event":"epoch","epoch":3,"loss":0.52}`. The crate carries its own
-//! minimal JSON writer *and* parser so event logs round-trip without any
-//! external dependency.
+//! `{"event":"epoch","epoch":3,"loss":0.52}`. Strings are escaped and
+//! lines parsed by the workspace's one JSON implementation,
+//! [`inf2vec_util::json`].
 //!
 //! Numbers: integers serialize without a decimal point and parse back as
 //! [`Value::U64`]/[`Value::I64`]; floats serialize via Rust's shortest
@@ -14,7 +14,7 @@
 //! they serialize as the strings `"NaN"`, `"Infinity"`, `"-Infinity"`;
 //! [`Value::as_f64`] converts them back.
 
-use std::fmt;
+use inf2vec_util::json::{push_json_string, Json, JsonError};
 
 /// A typed event field value.
 #[derive(Debug, Clone, PartialEq)]
@@ -128,10 +128,10 @@ impl Event {
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(32 + self.fields.len() * 16);
         out.push_str("{\"event\":");
-        write_json_string(&mut out, &self.kind);
+        push_json_string(&mut out, &self.kind);
         for (k, v) in &self.fields {
             out.push(',');
-            write_json_string(&mut out, k);
+            push_json_string(&mut out, k);
             out.push(':');
             write_json_value(&mut out, v);
         }
@@ -141,64 +141,38 @@ impl Event {
 
     /// Parses one JSON object produced by [`to_json`](Self::to_json) (or any
     /// flat JSON object of scalars with a string `"event"` key).
-    pub fn from_json(s: &str) -> Result<Self, ParseError> {
-        let mut p = Parser::new(s);
-        p.skip_ws();
-        p.expect(b'{')?;
+    pub fn from_json(s: &str) -> Result<Self, JsonError> {
+        // The document parsed; only its shape is wrong.
+        let invalid = |message: String| JsonError { offset: 0, message };
+        let Json::Obj(members) = Json::parse(s)? else {
+            return Err(invalid("an event is a JSON object".into()));
+        };
         let mut kind: Option<String> = None;
-        let mut fields = Vec::new();
-        p.skip_ws();
-        if !p.eat(b'}') {
-            loop {
-                p.skip_ws();
-                let key = p.string()?;
-                p.skip_ws();
-                p.expect(b':')?;
-                p.skip_ws();
-                let value = p.value()?;
-                if key == "event" {
-                    match value {
-                        Value::Str(k) if kind.is_none() => kind = Some(k),
-                        Value::Str(_) => return Err(p.err("duplicate \"event\" key")),
-                        _ => return Err(p.err("\"event\" must be a string")),
-                    }
-                } else {
-                    fields.push((key, value));
+        let mut fields = Vec::with_capacity(members.len());
+        for (key, value) in members {
+            let value = match value {
+                Json::U64(v) => Value::U64(v),
+                Json::I64(v) => Value::I64(v),
+                Json::F64(v) => Value::F64(v),
+                Json::Bool(b) => Value::Bool(b),
+                Json::Str(s) => Value::Str(s),
+                Json::Null | Json::Arr(_) | Json::Obj(_) => {
+                    return Err(invalid(format!("field {key:?} is not a scalar")));
                 }
-                p.skip_ws();
-                if p.eat(b',') {
-                    continue;
-                }
-                p.expect(b'}')?;
-                break;
+            };
+            if key != "event" {
+                fields.push((key, value));
+                continue;
+            }
+            match value {
+                Value::Str(k) if kind.is_none() => kind = Some(k),
+                Value::Str(_) => return Err(invalid("duplicate \"event\" key".into())),
+                _ => return Err(invalid("\"event\" must be a string".into())),
             }
         }
-        p.skip_ws();
-        if !p.at_end() {
-            return Err(p.err("trailing characters after object"));
-        }
-        let kind = kind.ok_or_else(|| p.err("missing \"event\" key"))?;
+        let kind = kind.ok_or_else(|| invalid("missing \"event\" key".into()))?;
         Ok(Self { kind, fields })
     }
-}
-
-/// Escapes and appends `s` as a JSON string literal.
-pub(crate) fn write_json_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 fn write_json_value(out: &mut String, v: &Value) {
@@ -218,188 +192,10 @@ fn write_json_value(out: &mut String, v: &Value) {
             } else {
                 "-Infinity"
             };
-            write_json_string(out, s);
+            push_json_string(out, s);
         }
         Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Value::Str(s) => write_json_string(out, s),
-    }
-}
-
-/// A JSON parse failure: byte offset plus message.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ParseError {
-    /// Byte offset of the failure.
-    pub at: usize,
-    /// What went wrong.
-    pub message: String,
-}
-
-impl fmt::Display for ParseError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "invalid event JSON at byte {}: {}", self.at, self.message)
-    }
-}
-
-impl std::error::Error for ParseError {}
-
-/// Minimal single-pass parser over the flat-object subset the sink writes.
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn new(s: &'a str) -> Self {
-        Self {
-            bytes: s.as_bytes(),
-            pos: 0,
-        }
-    }
-
-    fn err(&self, message: impl Into<String>) -> ParseError {
-        ParseError {
-            at: self.pos,
-            message: message.into(),
-        }
-    }
-
-    fn at_end(&self) -> bool {
-        self.pos >= self.bytes.len()
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
-    }
-
-    fn eat(&mut self, b: u8) -> bool {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), ParseError> {
-        if self.eat(b) {
-            Ok(())
-        } else {
-            Err(self.err(format!("expected {:?}", b as char)))
-        }
-    }
-
-    fn string(&mut self) -> Result<String, ParseError> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return Err(self.err("unterminated string")),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    let esc = self.peek().ok_or_else(|| self.err("bad escape"))?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .ok_or_else(|| self.err("truncated \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.err("bad \\u escape"))?;
-                            self.pos += 4;
-                            // Surrogates never appear in our own output;
-                            // reject rather than mis-decode.
-                            let c = char::from_u32(code)
-                                .ok_or_else(|| self.err("unpaired surrogate"))?;
-                            out.push(c);
-                        }
-                        _ => return Err(self.err("unknown escape")),
-                    }
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (input is &str, so boundaries
-                    // are valid; find the next char boundary).
-                    let rest = &self.bytes[self.pos..];
-                    let s = unsafe { std::str::from_utf8_unchecked(rest) };
-                    let c = s.chars().next().expect("non-empty by peek");
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn value(&mut self) -> Result<Value, ParseError> {
-        match self.peek() {
-            Some(b'"') => Ok(Value::Str(self.string()?)),
-            Some(b't') => {
-                self.keyword("true")?;
-                Ok(Value::Bool(true))
-            }
-            Some(b'f') => {
-                self.keyword("false")?;
-                Ok(Value::Bool(false))
-            }
-            Some(b'-' | b'0'..=b'9') => self.number(),
-            Some(_) => Err(self.err("expected a scalar value")),
-            None => Err(self.err("unexpected end of input")),
-        }
-    }
-
-    fn keyword(&mut self, word: &str) -> Result<(), ParseError> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(())
-        } else {
-            Err(self.err(format!("expected {word:?}")))
-        }
-    }
-
-    fn number(&mut self) -> Result<Value, ParseError> {
-        let start = self.pos;
-        let mut is_float = false;
-        while let Some(b) = self.peek() {
-            match b {
-                b'0'..=b'9' | b'-' | b'+' => self.pos += 1,
-                b'.' | b'e' | b'E' => {
-                    is_float = true;
-                    self.pos += 1;
-                }
-                _ => break,
-            }
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .expect("digits and punctuation are ASCII");
-        if !is_float {
-            if let Ok(v) = text.parse::<u64>() {
-                return Ok(Value::U64(v));
-            }
-            if let Ok(v) = text.parse::<i64>() {
-                return Ok(Value::I64(v));
-            }
-        }
-        text.parse::<f64>()
-            .map(Value::F64)
-            .map_err(|_| self.err(format!("bad number {text:?}")))
+        Value::Str(s) => push_json_string(out, s),
     }
 }
 
@@ -434,6 +230,7 @@ mod tests {
     fn round_trip_preserves_types_and_order() {
         let e = Event::new("shard")
             .u64("pairs", 123_456)
+            .u64("max", u64::MAX)
             .field("delta", Value::I64(-5))
             .f64("secs", 0.125)
             .f64("rate", 3.0)

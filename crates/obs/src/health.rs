@@ -17,6 +17,7 @@ use std::fmt;
 use std::sync::Mutex;
 use std::time::Duration;
 
+use inf2vec_util::json::push_json_string;
 use inf2vec_util::SharedClock;
 
 use crate::registry::{SampleValue, Snapshot};
@@ -178,13 +179,13 @@ impl HealthReport {
                 out.push(',');
             }
             out.push_str("{\"name\":");
-            crate::event::write_json_string(&mut out, &c.name);
+            push_json_string(&mut out, &c.name);
             out.push_str(",\"state\":\"");
             out.push_str(c.state.as_str());
             out.push_str("\",\"value\":");
             out.push_str(&format_f64(c.value));
             out.push_str(",\"detail\":");
-            crate::event::write_json_string(&mut out, &c.detail);
+            push_json_string(&mut out, &c.detail);
             out.push('}');
         }
         out.push_str("]}");

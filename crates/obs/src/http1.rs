@@ -1,4 +1,4 @@
-//! Shared zero-dependency HTTP/1.1 plumbing over `std::net`.
+//! Shared std-only HTTP/1.1 plumbing over `std::net`.
 //!
 //! Both HTTP surfaces in the workspace — the diagnostics
 //! [`IntrospectServer`](crate::IntrospectServer) and the scoring

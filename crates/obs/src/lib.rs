@@ -20,7 +20,8 @@
 //!   the scoring front-end also runs on.
 //!
 //! The only dependency is the workspace's own `inf2vec-util` (clock,
-//! seed-splitting, atomic file writes); nothing external.
+//! seed-splitting, atomic file writes, the JSON escaper and parser);
+//! nothing external.
 //!
 //! # The `Telemetry` handle
 //!
@@ -61,7 +62,7 @@ mod ring;
 mod span;
 pub mod trace;
 
-pub use event::{Event, ParseError, Value};
+pub use event::{Event, Value};
 pub use health::{Check, HealthEvaluator, HealthPolicy, HealthReport, HealthState, Rule, Signal};
 pub use http::IntrospectServer;
 pub use http1::{Connection, Head, Http1Config, IdleBackoff, ReadError, Request};

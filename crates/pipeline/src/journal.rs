@@ -109,8 +109,11 @@ impl Journal {
     /// The slot file a given round lands in (rounds alternate slots, so
     /// the previous round always survives the current write).
     pub fn slot_path(&self, round: u64) -> PathBuf {
-        self.dir
-            .join(if round % 2 == 0 { "journal.a" } else { "journal.b" })
+        self.dir.join(if round.is_multiple_of(2) {
+            "journal.a"
+        } else {
+            "journal.b"
+        })
     }
 
     /// Atomically writes `state` into its slot. Returns the slot path
@@ -154,7 +157,7 @@ impl Journal {
             };
             match parse_slot(&bytes) {
                 SlotParse::Valid(state) => {
-                    if best.as_ref().map_or(true, |b| state.round > b.round) {
+                    if best.as_ref().is_none_or(|b| state.round > b.round) {
                         best = Some(*state);
                     }
                 }

@@ -23,7 +23,9 @@
 //!   of truth, the journal only commits how far it has been consumed).
 //! - [`runner`]: the [`Pipeline`] — stage threads, bounded channels, a
 //!   supervisor that restarts panicked stages within a restart budget,
-//!   and exactly-once episode application across crashes.
+//!   and exactly-once episode application across crashes. Compaction of
+//!   the log and its archive belongs to the
+//!   [`LogStore`](inf2vec_ingest::LogStore) the pipeline drives.
 //! - [`publish`]: snapshot publication into the serve registry with
 //!   capped exponential backoff; a failing or slow registry never stalls
 //!   training (snapshots are skipped, training continues against the last
@@ -33,9 +35,6 @@
 //!   (counted, health-evented) and the registry keeps serving the last
 //!   good version; checksum verification alone cannot catch a poisoned
 //!   model whose bits are internally consistent.
-//! - [`faults`]: deterministic fault schedules (stage panics, publish
-//!   failures, torn journal writes, ENOSPC-style disk faults, poisoned
-//!   snapshots) for the soak harness.
 //! - [`soak`]: the fault-injection soak harness — drives synthetic
 //!   traffic through repeated crash/recover cycles, then reconciles
 //!   every written record against exactly one of
@@ -46,7 +45,6 @@
 //!   checks for completeness).
 
 pub mod config;
-pub mod faults;
 pub mod journal;
 pub mod publish;
 pub mod quality;
@@ -55,11 +53,10 @@ pub mod soak;
 pub mod trace;
 
 pub use config::{pipeline_health_policy, PipelineConfig};
-pub use faults::{Fault, FaultPlan};
 pub use journal::{Journal, JournalState, OpenItemState};
 pub use publish::{CountingSink, PublishSink, RegistrySink, Snapshot};
 pub use quality::{ProbeSet, QualityGate};
-pub use runner::{ArchiveCounters, Pipeline, Reconciliation};
+pub use runner::{Pipeline, Reconciliation};
 pub use soak::{run_soak, SoakConfig, SoakReport};
 pub use trace::{RecordFate, RecordTrace, TraceIndex};
 

@@ -6,22 +6,21 @@
 //! fresher snapshot will come along, and training never waits on serving.
 //! Each accepted snapshot is pushed through a [`PublishSink`] with
 //! [`retry`] — the one capped-exponential-backoff loop every bounded
-//! disk/publish retry in the pipeline shares; exhausting the attempts
+//! disk/publish retry in the workspace shares; exhausting the attempts
 //! abandons that snapshot (the registry keeps serving the last good
 //! version).
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 use inf2vec_embed::EmbeddingStore;
 use inf2vec_serve::ModelRegistry;
 use inf2vec_util::error::{DataError, Inf2vecError};
-use inf2vec_util::SharedClock;
+use inf2vec_util::faultinject::{Fault, FaultPlan};
+use inf2vec_util::{retry, SharedClock};
 
 use crate::config::PipelineConfig;
-use crate::faults::{Fault, FaultPlan};
 
 /// One publishable model state, checksummed at capture time so the sink
 /// can verify the bits survived the channel crossing.
@@ -107,34 +106,6 @@ pub struct PublishCounters {
     pub last_episodes: AtomicU64,
 }
 
-/// Runs `op` up to `attempts` times (at least once) and returns its first
-/// success, or `None` once every attempt failed. Between attempts it
-/// sleeps on `clock` a doubling backoff — `backoff`, `2 * backoff`, ... —
-/// with every sleep clamped to `cap` (`Duration::MAX` for none). Both
-/// closures see the 1-based attempt; `on_err` sees every failure.
-pub fn retry<T, E>(
-    clock: &SharedClock,
-    attempts: u32,
-    backoff: Duration,
-    cap: Duration,
-    mut op: impl FnMut(u32) -> Result<T, E>,
-    mut on_err: impl FnMut(u32, E),
-) -> Option<T> {
-    let attempts = attempts.max(1);
-    let mut sleep = backoff;
-    for attempt in 1..=attempts {
-        match op(attempt) {
-            Ok(v) => return Some(v),
-            Err(e) => on_err(attempt, e),
-        }
-        if attempt < attempts {
-            clock.sleep(sleep.min(cap));
-            sleep = sleep.saturating_mul(2);
-        }
-    }
-    None
-}
-
 /// Publishes one snapshot with [`retry`] under the publish backoff.
 /// Returns `true` on success. Never propagates an error upward — a dead
 /// registry degrades publication, not training.
@@ -184,8 +155,7 @@ pub fn publish_with_retry(
             .count("inf2vec_pipeline_publish_failed_total", 1);
         return false;
     };
-    // Successful-install latency (the sink call alone, no backoff
-    // sleeps): the perf-trajectory file tracks its mean.
+    // Successful-install latency: the sink call alone, no backoff sleeps.
     cfg.telemetry
         .observe("inf2vec_pipeline_publish_seconds", elapsed.as_secs_f64());
     counters.ok.fetch_add(1, Ordering::SeqCst);
@@ -261,6 +231,7 @@ pub fn export_snapshot(
 mod tests {
     use super::*;
     use inf2vec_util::{Clock, ManualClock};
+    use std::time::Duration;
 
     fn snap() -> Snapshot {
         let store = EmbeddingStore::zeroed(3, 2);
@@ -271,47 +242,6 @@ mod tests {
             label: "test".into(),
             episodes: 1,
         }
-    }
-
-    #[test]
-    fn backoff_doubles_and_caps() {
-        let (clock, manual) = ManualClock::shared();
-        let mut calls = Vec::new();
-        let got = retry(
-            &clock,
-            5,
-            Duration::from_millis(10),
-            Duration::from_millis(35),
-            |attempt| {
-                calls.push(manual.now());
-                if attempt <= 4 {
-                    Err(attempt)
-                } else {
-                    Ok(attempt)
-                }
-            },
-            |_, _| {},
-        );
-        assert_eq!(got, Some(5));
-        let sleeps: Vec<Duration> = calls.windows(2).map(|w| w[1] - w[0]).collect();
-        assert_eq!(sleeps, [10, 20, 35, 35].map(Duration::from_millis));
-
-        // `attempts = 0` still tries once, and a lone attempt never sleeps.
-        let before = manual.now();
-        let mut tried = 0;
-        let got = retry(
-            &clock,
-            0,
-            Duration::from_millis(10),
-            Duration::MAX,
-            |_| {
-                tried += 1;
-                Err::<(), _>(())
-            },
-            |_, _| {},
-        );
-        assert_eq!((got, tried), (None, 1));
-        assert_eq!(manual.now(), before);
     }
 
     #[test]

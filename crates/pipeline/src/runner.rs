@@ -12,9 +12,9 @@
 //! - **journal writer** (one thread per commit): writes the trainer's
 //!   snapshot into its slot while the trainer goes on training. At most
 //!   one commit is in flight; the trainer *settles* it (joins the writer,
-//!   then advances the round and compacts) before it starts the next one
-//!   and before any public call returns, so a caller only ever sees the
-//!   journal the synchronous write would have left.
+//!   then advances the round and has the [`LogStore`] compact) before it
+//!   starts the next one and before any public call returns, so a caller
+//!   only ever sees the journal the synchronous write would have left.
 //! - **publisher** (thread): receives model snapshots over a capacity-1
 //!   channel and installs them into the sink with retry + backoff.
 //!
@@ -42,7 +42,7 @@
 
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
 use std::sync::Arc;
@@ -52,21 +52,17 @@ use std::time::{Duration, Instant};
 use inf2vec_diffusion::{Episode, ItemId};
 use inf2vec_embed::{EmbeddingStore, OnlineSgns};
 use inf2vec_graph::{DiGraph, NodeId};
-use inf2vec_ingest::{
-    archive_dir, compact_to_with, sentinel_base, ArchiveStore, LogTail, RetentionPolicy, TailItem,
-    TailPosition,
-};
+use inf2vec_ingest::{LogStore, LogStoreConfig, LogTail, RetentionPolicy, TailItem, TailPosition};
 use inf2vec_obs::{Event, Telemetry, TraceCtx};
 use inf2vec_serve::store_checksum;
 use inf2vec_util::error::{Inf2vecError, IngestError, PipelineError};
-use inf2vec_util::{system_clock, FxHashMap, SharedClock};
+use inf2vec_util::faultinject::{Fault, FaultPlan};
+use inf2vec_util::{retry, system_clock, FxHashMap, SharedClock};
 
 use crate::config::PipelineConfig;
-use crate::faults::{Fault, FaultPlan};
 use crate::journal::{self, check_shape, Journal, JournalState, OpenItemState};
 use crate::publish::{
-    export_snapshot, poison_snapshot, publish_with_retry, retry, PublishCounters, PublishSink,
-    Snapshot,
+    export_snapshot, poison_snapshot, publish_with_retry, PublishCounters, PublishSink, Snapshot,
 };
 use crate::quality::{ProbeSet, QualityGate};
 
@@ -432,26 +428,6 @@ impl Reconciliation {
     }
 }
 
-/// Per-incarnation archive accounting (see
-/// [`Pipeline::archive_counters`]). Every byte that leaves the
-/// retained-history window lands in exactly one of `bytes_reclaimed`
-/// (expired under the retention policy) or `bytes_dropped` (degraded
-/// past — seal retries exhausted), so summing both across incarnations
-/// equals the archive's expired-prefix offset.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ArchiveCounters {
-    /// Segments sealed into the archive store.
-    pub segments_sealed: u64,
-    /// Segments expired under the retention policy.
-    pub segments_expired: u64,
-    /// Payload bytes sealed.
-    pub bytes_sealed: u64,
-    /// Payload bytes reclaimed by retention expiry.
-    pub bytes_reclaimed: u64,
-    /// Payload bytes compacted away *without* landing in the archive.
-    pub bytes_dropped: u64,
-}
-
 /// The crash-recoverable continuous-learning pipeline.
 pub struct Pipeline {
     cfg: PipelineConfig,
@@ -459,7 +435,8 @@ pub struct Pipeline {
     faults: Arc<FaultPlan>,
     graph: Arc<DiGraph>,
     sink: Arc<dyn PublishSink>,
-    log_path: PathBuf,
+    /// The action log and its archive.
+    log: LogStore,
     /// Where the flight recorder dumps on stage panics (`flight.jsonl`
     /// beside the journal slots).
     flight_path: PathBuf,
@@ -477,14 +454,6 @@ pub struct Pipeline {
     prev_commit: Option<TailPosition>,
     /// The one journal commit that may be in flight.
     in_flight: Option<InFlightCommit>,
-    /// Compactions performed by this incarnation.
-    compactions: u64,
-    /// The segmented archive store, opened lazily at the first
-    /// compaction. An open failure degrades: counted, retried at the
-    /// next boundary.
-    archive: Option<ArchiveStore>,
-    /// Per-incarnation archive accounting.
-    archive_counters: ArchiveCounters,
     tailer: Option<TailerHandle>,
     publisher: Option<PublisherHandle>,
     counters: Arc<PublishCounters>,
@@ -530,7 +499,22 @@ impl Pipeline {
     ) -> Result<Self, Inf2vecError> {
         cfg.inf2vec.validate()?;
         let journal_dir = journal_dir.into();
-        let log_path: PathBuf = log_path.into();
+        let log = LogStore::new(
+            log_path,
+            LogStoreConfig {
+                log_budget_bytes: cfg.log_budget_bytes,
+                retention: RetentionPolicy {
+                    max_bytes: cfg.archive_max_bytes,
+                    max_segments: cfg.archive_max_segments,
+                    max_age: cfg.archive_max_age,
+                },
+                disk_max_attempts: cfg.disk_max_attempts,
+                disk_retry_backoff: cfg.disk_retry_backoff,
+            },
+            clock.clone(),
+            Arc::clone(&faults),
+            cfg.telemetry.clone(),
+        );
         let flight_path = journal_dir.join("flight.jsonl");
         let journal = Journal::new(journal_dir)?;
         let n = graph.node_count() as usize;
@@ -543,14 +527,7 @@ impl Pipeline {
         let loaded = journal.load_latest()?;
         let recovered = loaded.is_some();
         if !recovered {
-            // A fresh start over a compacted log cannot replay the
-            // rotated-away prefix: fail typed instead of silently
-            // training on a truncated stream.
-            if let Some((base, _)) = sentinel_base(&log_path).map_err(Inf2vecError::Io)? {
-                if base > 0 {
-                    return Err(IngestError::LogRotated { committed: 0, base }.into());
-                }
-            }
+            log.require_origin()?;
         }
         let (trainer, round) = Trainer::from_journal(loaded, &cfg, n, universe, k)?;
         let gate = (cfg.probe_pairs > 0).then(|| {
@@ -581,7 +558,7 @@ impl Pipeline {
             faults,
             graph,
             sink,
-            log_path,
+            log,
             flight_path,
             journal,
             trainer,
@@ -590,9 +567,6 @@ impl Pipeline {
             gate,
             prev_commit: None,
             in_flight: None,
-            compactions: 0,
-            archive: None,
-            archive_counters: ArchiveCounters::default(),
             tailer: None,
             publisher: None,
             counters: Arc::new(PublishCounters::default()),
@@ -853,8 +827,10 @@ impl Pipeline {
     /// Waits for the commit in flight, if any, and applies its outcome as
     /// the synchronous write did right after writing: a written slot
     /// advances the round, is counted, may be torn by fault injection,
-    /// triggers compaction and becomes the next compaction bound; an
-    /// exhausted one is counted as skipped and dumps a flight postmortem.
+    /// lets the log store compact below the previous commit (the newest
+    /// point both slots have durably passed) and becomes the next
+    /// compaction bound; an exhausted one is counted as skipped and dumps
+    /// a flight postmortem.
     fn settle(&mut self) {
         let Some(commit) = self.in_flight.take() else {
             return;
@@ -883,7 +859,13 @@ impl Pipeline {
                     path.file_name().unwrap_or_default().to_string_lossy(),
                 ));
         }
-        self.maybe_compact();
+        // The first write of this incarnation has no bound: the other
+        // slot's position is unknown.
+        if let Some(upto) = self.prev_commit {
+            let (telemetry, flight) = (&self.cfg.telemetry, &self.flight_path);
+            self.log
+                .compact(upto, |reason| dump_flight(telemetry, flight, reason));
+        }
         self.prev_commit = Some(commit.pos);
     }
 
@@ -894,247 +876,6 @@ impl Pipeline {
         self.settle();
     }
 
-    /// Compacts the action log when it has outgrown the configured
-    /// budget, rotating away only bytes below [`Self::prev_commit`] —
-    /// the point both journal slots have durably passed, so any
-    /// recoverable journal can still resume. Failures degrade: counted,
-    /// flight-dumped, retried at the next journal boundary.
-    ///
-    /// Each boundary is three steps in a crash-safe order:
-    ///
-    /// 1. **seal** the doomed prefix into the segmented archive store
-    ///    (idempotent, so a crash before step 2 re-seals nothing);
-    /// 2. **rewrite** the live log (the prefix now exists in exactly one
-    ///    or — transiently, under a crash — both places, never zero);
-    /// 3. **expire** archive segments over the retention budgets
-    ///    (manifest-before-delete, floored at the compaction bound so
-    ///    the journal replay window always stays restorable).
-    ///
-    /// A seal whose bounded retry chain exhausts degrades: the rewrite
-    /// still drops the prefix, every lost byte is counted in
-    /// `inf2vec_pipeline_archive_dropped_bytes_total`, and the archive
-    /// rebases over the hole so the *suffix* stays restorable.
-    fn maybe_compact(&mut self) {
-        let budget = self.cfg.log_budget_bytes;
-        if budget == 0 {
-            return;
-        }
-        let Some(compact_to) = self.prev_commit else {
-            // First write of this incarnation: the other slot's position
-            // is unknown, so no safe compaction point exists yet.
-            return;
-        };
-        let live = std::fs::metadata(&self.log_path).map(|m| m.len()).unwrap_or(0);
-        self.cfg
-            .telemetry
-            .gauge_set("inf2vec_pipeline_log_bytes", live as f64);
-        if live <= budget {
-            return;
-        }
-        let sealed_ok = self.seal_archive(compact_to);
-        let inject = self.faults.tick(Fault::Compaction).then_some(48);
-        match compact_to_with(&self.log_path, compact_to, None, inject) {
-            Ok(stats) => {
-                self.compactions += 1;
-                self.cfg
-                    .telemetry
-                    .count("inf2vec_pipeline_compactions_total", 1);
-                self.cfg
-                    .telemetry
-                    .gauge_set("inf2vec_pipeline_log_bytes", stats.live_bytes as f64);
-                self.cfg.telemetry.emit(
-                    Event::new("pipeline.compaction")
-                        .u64("base", stats.base)
-                        .u64("dropped", stats.dropped_bytes)
-                        .u64("live", stats.live_bytes),
-                );
-                if !sealed_ok {
-                    // The rewrite dropped bytes the archive never got.
-                    self.rebase_archive(compact_to);
-                }
-                self.expire_archive(compact_to);
-                self.publish_archive_gauges();
-            }
-            Err(e) => {
-                self.cfg
-                    .telemetry
-                    .count("inf2vec_pipeline_compaction_errors_total", 1);
-                self.cfg.telemetry.emit(
-                    Event::new("pipeline.compaction_error")
-                        .u64("offset", compact_to.offset)
-                        .str("error", e.to_string()),
-                );
-            }
-        }
-    }
-
-    /// Step 1 of a compaction: open the store if needed and seal the
-    /// about-to-be-dropped prefix with [`retry`]. Returns `false` when
-    /// the prefix could not be made durable (the caller then degrades to
-    /// drop-with-counter).
-    fn seal_archive(&mut self, upto: TailPosition) -> bool {
-        let now_ms = self.clock.now().as_millis() as u64;
-        if self.archive.is_none() {
-            match ArchiveStore::open(archive_dir(&self.log_path)) {
-                Ok(store) => self.archive = Some(store),
-                Err(e) => {
-                    archive_error(&self.cfg.telemetry, SEAL_ERRORS, "open", None, e);
-                    return false;
-                }
-            }
-        }
-        // A previous incarnation degraded (dropped bytes unarchived) and
-        // died before rebasing: the live log starts past the archive
-        // end. Finish the rebase so this seal lands contiguously.
-        let end = self.archive.as_ref().map_or(0, ArchiveStore::end_offset);
-        if let Ok(Some((base, lines))) = sentinel_base(&self.log_path) {
-            if base > end
-                && !self.rebase_archive(TailPosition {
-                    offset: base,
-                    line_no: lines,
-                })
-            {
-                return false;
-            }
-        }
-        let store = self.archive.as_mut().expect("store just opened");
-        let sealed = retry(
-            &self.clock,
-            self.cfg.disk_max_attempts,
-            self.cfg.disk_retry_backoff,
-            Duration::MAX,
-            |_| {
-                let inject = self.faults.tick(Fault::ArchiveSeal).then_some(48);
-                store.seal_from_log(&self.log_path, upto, now_ms, inject)
-            },
-            |attempt, e| archive_error(&self.cfg.telemetry, SEAL_ERRORS, "seal", Some(attempt), e),
-        );
-        match sealed {
-            Some(0) => true, // already durable (idempotent retry)
-            Some(bytes) => {
-                self.archive_counters.segments_sealed += 1;
-                self.archive_counters.bytes_sealed += bytes;
-                self.cfg
-                    .telemetry
-                    .count("inf2vec_pipeline_archive_seals_total", 1);
-                self.cfg
-                    .telemetry
-                    .count("inf2vec_pipeline_archive_sealed_bytes_total", bytes);
-                self.cfg.telemetry.emit(
-                    Event::new("pipeline.archive_seal")
-                        .u64("seq", store.segments().last().map_or(0, |s| s.seq))
-                        .u64("bytes", bytes)
-                        .u64("end", store.end_offset()),
-                );
-                true
-            }
-            None => {
-                self.dump_flight_postmortem("archive_seal_failed");
-                false
-            }
-        }
-    }
-
-    /// Degrade path: the live log lost `[archive start, to)` without the
-    /// archive holding it. Rebase the archive boundary to `to` and count
-    /// every byte that left the retained-history window. A failed rebase
-    /// manifest leaves the store as is and returns `false`; the next
-    /// seal (or the next incarnation's) finishes the rebase.
-    fn rebase_archive(&mut self, to: TailPosition) -> bool {
-        let Some(store) = self.archive.as_mut() else {
-            return false;
-        };
-        let lost = to.offset.saturating_sub(store.start().offset);
-        match store.rebase_to(to, None) {
-            Ok(_) => {
-                self.archive_counters.bytes_dropped += lost;
-                self.cfg
-                    .telemetry
-                    .count("inf2vec_pipeline_archive_dropped_bytes_total", lost);
-                self.cfg.telemetry.emit(
-                    Event::new("pipeline.archive_rebase")
-                        .u64("offset", to.offset)
-                        .u64("lost", lost),
-                );
-                true
-            }
-            Err(e) => {
-                archive_error(&self.cfg.telemetry, SEAL_ERRORS, "rebase", None, e);
-                false
-            }
-        }
-    }
-
-    /// Step 3 of a compaction: expire segments over the retention
-    /// budgets, floored at the compaction bound (nothing in the journal
-    /// replay window is deletable), with [`retry`] against
-    /// manifest-write faults; exhaustion degrades — the segments stay,
-    /// the next boundary retries.
-    fn expire_archive(&mut self, floor: TailPosition) {
-        let policy = RetentionPolicy {
-            max_bytes: self.cfg.archive_max_bytes,
-            max_segments: self.cfg.archive_max_segments,
-            max_age: self.cfg.archive_max_age,
-        };
-        if policy.is_unbounded() {
-            return;
-        }
-        let Some(store) = self.archive.as_mut() else {
-            return;
-        };
-        let now_ms = self.clock.now().as_millis() as u64;
-        let expired = retry(
-            &self.clock,
-            self.cfg.disk_max_attempts,
-            self.cfg.disk_retry_backoff,
-            Duration::MAX,
-            |_| {
-                let inject = self.faults.tick(Fault::ArchiveExpiry).then_some(48);
-                store.expire(&policy, floor.offset, now_ms, inject)
-            },
-            |attempt, e| {
-                let errors = "inf2vec_pipeline_archive_expiry_errors_total";
-                archive_error(&self.cfg.telemetry, errors, "expire", Some(attempt), e);
-            },
-        );
-        match expired {
-            Some(stats) if stats.segments > 0 => {
-                self.archive_counters.segments_expired += stats.segments;
-                self.archive_counters.bytes_reclaimed += stats.bytes;
-                self.cfg.telemetry.count(
-                    "inf2vec_pipeline_archive_expired_segments_total",
-                    stats.segments,
-                );
-                self.cfg.telemetry.count(
-                    "inf2vec_pipeline_archive_reclaimed_bytes_total",
-                    stats.bytes,
-                );
-                self.cfg.telemetry.emit(
-                    Event::new("pipeline.archive_expiry")
-                        .u64("segments", stats.segments)
-                        .u64("bytes", stats.bytes)
-                        .u64("start", store.start().offset),
-                );
-            }
-            Some(_) => {}
-            None => self.dump_flight_postmortem("archive_expiry_failed"),
-        }
-    }
-
-    /// Publishes the archive occupancy gauges (no-op before the store
-    /// first opens).
-    fn publish_archive_gauges(&self) {
-        let Some(store) = self.archive.as_ref() else {
-            return;
-        };
-        self.cfg
-            .telemetry
-            .gauge_set("inf2vec_pipeline_archive_segments", store.segments().len() as f64);
-        self.cfg
-            .telemetry
-            .gauge_set("inf2vec_pipeline_archive_bytes", store.payload_bytes() as f64);
-    }
-
     fn ensure_tailer(&mut self) {
         if self.tailer.is_some() {
             return;
@@ -1142,7 +883,7 @@ impl Pipeline {
         let (tx, rx) = sync_channel(self.cfg.channel_capacity.max(1));
         let stop = Arc::new(AtomicBool::new(false));
         let stop_flag = Arc::clone(&stop);
-        let path = self.log_path.clone();
+        let path = self.log.path().to_path_buf();
         // Accept the whole configured universe, not just the graph: ids
         // beyond the graph are real (late-joining) users whose rows the
         // model grows on demand.
@@ -1316,25 +1057,8 @@ impl Pipeline {
         self.publisher = None;
     }
 
-    /// Best-effort atomic dump of the flight ring to
-    /// [`flight.jsonl`](Self::flight_path). Never fails the pipeline: a
-    /// postmortem that cannot be written is counted, not propagated.
     fn dump_flight_postmortem(&self, reason: &str) {
-        match self.cfg.telemetry.dump_flight(&self.flight_path) {
-            Ok(true) => {
-                self.cfg.telemetry.count_with(
-                    "inf2vec_pipeline_flight_dumps_total",
-                    &[("reason", reason)],
-                    1,
-                );
-            }
-            Ok(false) => {} // telemetry disabled: nothing to dump
-            Err(_) => {
-                self.cfg
-                    .telemetry
-                    .count("inf2vec_pipeline_flight_dump_errors_total", 1);
-            }
-        }
+        dump_flight(&self.cfg.telemetry, &self.flight_path, reason);
     }
 
     /// Where postmortem flight dumps land (`flight.jsonl` in the journal
@@ -1415,20 +1139,10 @@ impl Pipeline {
         )
     }
 
-    /// Log compactions this incarnation performed.
-    pub fn compactions(&self) -> u64 {
-        self.compactions
-    }
-
-    /// Per-incarnation archive accounting (seals, expiries, drops).
-    pub fn archive_counters(&self) -> ArchiveCounters {
-        self.archive_counters
-    }
-
-    /// The segmented archive store, once a compaction has opened it
-    /// (`None` until then).
-    pub fn archive_store(&self) -> Option<&ArchiveStore> {
-        self.archive.as_ref()
+    /// The action log and its archive, with this incarnation's
+    /// compaction and archive accounting.
+    pub fn log_store(&self) -> &LogStore {
+        &self.log
     }
 
     /// The user-id space in effect: `max(graph nodes, user_capacity)`.
@@ -1524,25 +1238,21 @@ fn maybe_export(snap: &Snapshot, cfg: &PipelineConfig, clock: &SharedClock, faul
     }
 }
 
-/// Archive failures that count against the seal: the store open, the
-/// rebase manifest and the segment write.
-const SEAL_ERRORS: &str = "inf2vec_pipeline_archive_seal_errors_total";
-
-/// Counts one failed archive-store operation under `counter` and emits
-/// its `pipeline.archive_error` event (with the attempt, when retried).
-fn archive_error(
-    telemetry: &Telemetry,
-    counter: &str,
-    op: &str,
-    attempt: Option<u32>,
-    e: std::io::Error,
-) {
-    telemetry.count(counter, 1);
-    let mut event = Event::new("pipeline.archive_error").str("op", op);
-    if let Some(attempt) = attempt {
-        event = event.u64("attempt", attempt as u64);
+/// Best-effort atomic dump of the flight ring to `path` (the pipeline's
+/// [`flight.jsonl`](Pipeline::flight_path)). Never fails the pipeline: a
+/// postmortem that cannot be written is counted, not propagated.
+fn dump_flight(telemetry: &Telemetry, path: &Path, reason: &str) {
+    match telemetry.dump_flight(path) {
+        Ok(true) => {
+            telemetry.count_with(
+                "inf2vec_pipeline_flight_dumps_total",
+                &[("reason", reason)],
+                1,
+            );
+        }
+        Ok(false) => {} // telemetry disabled: nothing to dump
+        Err(_) => telemetry.count("inf2vec_pipeline_flight_dump_errors_total", 1),
     }
-    telemetry.emit(event.str("error", e.to_string()));
 }
 
 fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
@@ -1644,6 +1354,8 @@ mod tests {
         assert_eq!(r.records_pending, 0, "drain closed everything");
         assert!(r.episodes_applied >= 4, "every item closed: {r:?}");
         assert!(r.publishes_ok >= 1, "at least one snapshot published");
+        // With no byte budget the archive is never created.
+        assert!(!inf2vec_ingest::archive_dir(&log).exists());
     }
 
     #[test]
@@ -1798,11 +1510,11 @@ mod tests {
         p.shutdown().unwrap();
         let r = p.reconciliation();
         assert!(r.balances(good, bad), "{r:?}");
-        assert!(p.compactions() >= 2, "budget forced compactions");
-        let c = p.archive_counters();
+        let c = p.log_store().counters();
+        assert!(c.compactions >= 2, "budget forced compactions");
         assert!(c.segments_sealed >= 2, "each compaction sealed: {c:?}");
         assert_eq!(c.bytes_dropped, 0, "nothing degraded: {c:?}");
-        let store = p.archive_store().expect("store opened");
+        let store = p.log_store().archive().expect("store opened");
         assert!(
             store.segments().len() <= 2,
             "segment budget held: {} live",
@@ -1846,9 +1558,9 @@ mod tests {
         p.run_until_idle().unwrap();
         p.drain_open_episodes().unwrap();
         p.shutdown().unwrap();
-        let c = p.archive_counters();
+        let c = p.log_store().counters();
         assert!(c.bytes_dropped > 0, "the degraded prefix was counted: {c:?}");
-        let store = p.archive_store().expect("store opened");
+        let store = p.log_store().archive().expect("store opened");
         assert!(store.start().offset >= c.bytes_dropped, "rebased past the hole");
         // The surviving suffix is still a verified, restorable stream.
         store.verify(Some(&log)).unwrap();

@@ -29,17 +29,17 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use inf2vec_graph::{DiGraph, GraphBuilder, NodeId};
-use inf2vec_ingest::{archive_dir, ArchiveStore};
+use inf2vec_ingest::{archive_dir, ArchiveCounters, ArchiveStore};
 use inf2vec_obs::SampleValue;
 use inf2vec_serve::ModelRegistry;
 use inf2vec_util::error::Inf2vecError;
+use inf2vec_util::faultinject::{Fault, FaultPlan};
 use inf2vec_util::rng::Xoshiro256pp;
 use inf2vec_util::{split_seed, system_clock};
 
 use crate::config::PipelineConfig;
-use crate::faults::{Fault, FaultPlan};
 use crate::publish::RegistrySink;
-use crate::runner::{ArchiveCounters, Pipeline, Reconciliation};
+use crate::runner::{Pipeline, Reconciliation};
 
 /// Soak shape. Defaults give a few seconds of work — CI-sized.
 #[derive(Debug, Clone)]
@@ -404,7 +404,7 @@ impl TrafficWriter {
             self.lines += 1;
             self.time += 1;
             let torn = tear_tail && i + 1 == records;
-            if self.defect_every > 0 && self.lines % self.defect_every as u64 == 0 {
+            if self.defect_every > 0 && self.lines.is_multiple_of(self.defect_every as u64) {
                 // Garbage on schedule: torn garbage stays garbage once
                 // completed, so the ledger is decided at completion time.
                 if torn {
@@ -513,6 +513,7 @@ fn log_len(log: &Path) -> u64 {
 
 /// Folds one incarnation's archive counters into the running total.
 fn accumulate(total: &mut ArchiveCounters, inc: ArchiveCounters) {
+    total.compactions += inc.compactions;
     total.segments_sealed += inc.segments_sealed;
     total.segments_expired += inc.segments_expired;
     total.bytes_sealed += inc.bytes_sealed;
@@ -576,7 +577,6 @@ pub fn run_soak(cfg: &SoakConfig, workdir: &Path) -> Result<SoakReport, Inf2vecE
     let started = Instant::now();
     let mut restarts = (0u32, 0u32, 0u32);
     let mut publishes = (0u64, 0u64, 0u64, 0u64);
-    let mut compactions = 0u64;
     let mut max_live = 0u64;
     let mut poisoned_served = false;
     let mut arch = ArchiveCounters::default();
@@ -607,7 +607,12 @@ pub fn run_soak(cfg: &SoakConfig, workdir: &Path) -> Result<SoakReport, Inf2vecE
             // the model's row space must grow mid-stream, across crashes.
             writer.unlock_users();
         }
-        writer.append_chunk(&log, &shadow, cfg.records_per_chunk, cycle % 2 == 0)?;
+        writer.append_chunk(
+            &log,
+            &shadow,
+            cfg.records_per_chunk,
+            cycle.is_multiple_of(2),
+        )?;
         let mut p = Pipeline::with_runtime(
             pipe_cfg.clone(),
             &log,
@@ -623,9 +628,8 @@ pub fn run_soak(cfg: &SoakConfig, workdir: &Path) -> Result<SoakReport, Inf2vecE
         // join settles in-flight publish accounting before we read it.
         p.crash();
         track(&p.reconciliation());
-        compactions += p.compactions();
-        accumulate(&mut arch, p.archive_counters());
-        if let Some(store) = p.archive_store() {
+        accumulate(&mut arch, p.log_store().counters());
+        if let Some(store) = p.log_store().archive() {
             let n = store.segments().len() as u64;
             max_archive_segments = max_archive_segments.max(n);
             // One segment of slack: a boundary that sealed but degraded
@@ -675,8 +679,7 @@ pub fn run_soak(cfg: &SoakConfig, workdir: &Path) -> Result<SoakReport, Inf2vecE
     p.shutdown()?;
     let recon = p.reconciliation();
     track(&recon);
-    compactions += p.compactions();
-    accumulate(&mut arch, p.archive_counters());
+    accumulate(&mut arch, p.log_store().counters());
     max_live = max_live.max(log_len(&log));
     let final_rows = p.model_rows();
     if let Some(v) = registry.current() {
@@ -802,7 +805,7 @@ pub fn run_soak(cfg: &SoakConfig, workdir: &Path) -> Result<SoakReport, Inf2vecE
         restarts,
         publishes,
         versions_installed: registry.installed_count(),
-        compactions,
+        compactions: arch.compactions,
         max_live_log_bytes: max_live,
         log_budget_bytes: cfg.log_budget_bytes,
         disk_bounded,

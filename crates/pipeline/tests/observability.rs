@@ -10,9 +10,8 @@ use std::sync::Arc;
 use inf2vec_graph::{DiGraph, GraphBuilder, NodeId};
 use inf2vec_obs::{Event, MemorySink, Telemetry};
 use inf2vec_pipeline::publish::CountingSink;
-use inf2vec_pipeline::{
-    run_soak, Fault, FaultPlan, Pipeline, PipelineConfig, SoakConfig, TraceIndex,
-};
+use inf2vec_pipeline::{run_soak, Pipeline, PipelineConfig, SoakConfig, TraceIndex};
+use inf2vec_util::faultinject::{Fault, FaultPlan};
 use inf2vec_util::system_clock;
 
 fn tmp_dir(tag: &str) -> PathBuf {

@@ -37,7 +37,7 @@ use inf2vec_embed::EmbeddingStore;
 use inf2vec_eval::aggregate::Aggregator;
 use inf2vec_graph::NodeId;
 use inf2vec_obs::{Snapshot, Telemetry};
-use inf2vec_util::faultinject::{FaultSchedule, SnapshotFault};
+use inf2vec_util::faultinject::SnapshotFault;
 use inf2vec_util::json::push_json_string;
 use inf2vec_util::rng::{split_seed, Xoshiro256pp};
 
@@ -421,10 +421,8 @@ pub fn run_script(
         ("v-overflow", &bytes_ovf, None, SnapshotFault::Clean, Expect::Swap),
         ("v-final-b", &bytes_b, Some(sum_b), SnapshotFault::Clean, Expect::Swap),
     ];
-    let schedule = FaultSchedule::new(script.iter().map(|s| s.3).collect());
     let mut tally = ScriptTally::default();
-    for (i, (label, payload, expected_sum, _fault, expect)) in script.iter().enumerate() {
-        let fault = schedule.next_fault();
+    for (i, (label, payload, expected_sum, fault, expect)) in script.iter().enumerate() {
         let res = svc.reload_from_reader(label, fault.wrap(*payload), *expected_sum);
         match (expect, &res) {
             (Expect::Swap, Ok(_)) => tally.swaps_ok += 1,
@@ -461,13 +459,6 @@ pub fn run_script(
             }
             _ => std::thread::sleep(pause),
         }
-    }
-    if schedule.consumed() != schedule.len() {
-        tally.mismatches.push(format!(
-            "fault schedule: consumed {} of {} scripted steps",
-            schedule.consumed(),
-            schedule.len()
-        ));
     }
     tally
 }

@@ -22,8 +22,9 @@
 //!   infinities instead of serving them.
 //!
 //! [`chaos`] is the proof: a multi-threaded harness that hammers the
-//! service while a scripted [`FaultSchedule`](inf2vec_util::faultinject::FaultSchedule)
-//! breaks the snapshot source, then reconciles every worker-side tally
+//! service while a script of
+//! [`SnapshotFault`](inf2vec_util::faultinject::SnapshotFault)s, one per
+//! reload, breaks the snapshot source, then reconciles every worker-side tally
 //! *exactly* against the `inf2vec-obs` metrics. Every request gets a
 //! definitive outcome — success, typed rejection, or flagged degraded
 //! answer — and never a hang, panic, or silent NaN.

@@ -12,6 +12,7 @@
 //!
 //! Time is represented as a [`Duration`] since the clock's own epoch.
 //! Only differences between readings of the *same* clock are meaningful.
+//! [`retry`] is the bounded, backed-off retry loop that sleeps on one.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -96,9 +97,79 @@ impl Clock for ManualClock {
     }
 }
 
+/// Runs `op` up to `attempts` times (at least once) and returns its first
+/// success, or `None` once every attempt failed. Between attempts it
+/// sleeps on `clock` a doubling backoff — `backoff`, `2 * backoff`, ... —
+/// with every sleep clamped to `cap` (`Duration::MAX` for none). Both
+/// closures see the 1-based attempt; `on_err` sees every failure. This is
+/// the one bounded retry loop behind every disk and publish retry.
+pub fn retry<T, E>(
+    clock: &SharedClock,
+    attempts: u32,
+    backoff: Duration,
+    cap: Duration,
+    mut op: impl FnMut(u32) -> Result<T, E>,
+    mut on_err: impl FnMut(u32, E),
+) -> Option<T> {
+    let attempts = attempts.max(1);
+    let mut sleep = backoff;
+    for attempt in 1..=attempts {
+        match op(attempt) {
+            Ok(v) => return Some(v),
+            Err(e) => on_err(attempt, e),
+        }
+        if attempt < attempts {
+            clock.sleep(sleep.min(cap));
+            sleep = sleep.saturating_mul(2);
+        }
+    }
+    None
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn backoff_doubles_and_caps() {
+        let (clock, manual) = ManualClock::shared();
+        let mut calls = Vec::new();
+        let got = retry(
+            &clock,
+            5,
+            Duration::from_millis(10),
+            Duration::from_millis(35),
+            |attempt| {
+                calls.push(manual.now());
+                if attempt <= 4 {
+                    Err(attempt)
+                } else {
+                    Ok(attempt)
+                }
+            },
+            |_, _| {},
+        );
+        assert_eq!(got, Some(5));
+        let sleeps: Vec<Duration> = calls.windows(2).map(|w| w[1] - w[0]).collect();
+        assert_eq!(sleeps, [10, 20, 35, 35].map(Duration::from_millis));
+
+        // `attempts = 0` still tries once, and a lone attempt never sleeps.
+        let before = manual.now();
+        let mut tried = 0;
+        let got = retry(
+            &clock,
+            0,
+            Duration::from_millis(10),
+            Duration::MAX,
+            |_| {
+                tried += 1;
+                Err::<(), _>(())
+            },
+            |_, _| {},
+        );
+        assert_eq!((got, tried), (None, 1));
+        assert_eq!(manual.now(), before);
+    }
 
     #[test]
     fn system_clock_is_monotonic() {

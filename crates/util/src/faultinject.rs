@@ -1,23 +1,39 @@
-//! Fault-injection `Write`/`Read` adapters and fixture manglers for
-//! robustness tests.
+//! Fault injection for robustness tests: I/O adapters, fixture
+//! manglers, and the one deterministic fault schedule.
 //!
-//! These wrappers let tests simulate the disk failures the persistence
-//! layer must survive — truncation (power loss mid-write), bit corruption
-//! (bad sectors, partial flushes), and hard I/O errors (full disk, yanked
-//! mount) — without touching a real device. The read side mirrors them for
-//! the ingestion layer: [`CorruptingReader`] rots bytes in flight, and
-//! [`mangle_lines`] turns a clean text fixture into the kind of dirty
-//! SNAP-style crawl dump real ingestion must survive (junk lines, bit
-//! flips, truncated lines, shuffled fields, CRLF, BOM, interleaved NULs).
-//! For the serving layer, [`SlowReader`], [`FlakyReader`], and
-//! [`TruncatingReader`] simulate slow, dying, and truncated snapshot
-//! streams, and a [`FaultSchedule`] scripts a deterministic sequence of
-//! [`SnapshotFault`]s for chaos runs — one fault consumed per load attempt.
-//! They live in the library (not `#[cfg(test)]`) so integration tests and
-//! downstream crates can reuse them, but nothing on a production code path
-//! constructs one.
+//! The `Write` wrappers let tests simulate the disk failures the
+//! persistence layer must survive — truncation (power loss mid-write), bit
+//! corruption (bad sectors, partial flushes), and hard I/O errors (full
+//! disk, yanked mount) — without touching a real device. The read side
+//! mirrors them for the ingestion layer: [`CorruptingReader`] rots bytes
+//! in flight, and [`mangle_lines`] turns a clean text fixture into the
+//! kind of dirty SNAP-style crawl dump real ingestion must survive (junk
+//! lines, bit flips, truncated lines, shuffled fields, CRLF, BOM,
+//! interleaved NULs). For the serving layer, [`SlowReader`],
+//! [`FlakyReader`], and [`TruncatingReader`] simulate slow, dying, and
+//! truncated snapshot streams, one [`SnapshotFault`] per load.
+//!
+//! A [`FaultPlan`] schedules every other injected fault: stage panics,
+//! failed publish and disk-write attempts, torn journal slots, poisoned
+//! snapshots, and a training worker's panic at its n-th pair. It maps
+//! each [`Fault`] class to an ascending list of thresholds over a
+//! *monotonic cumulative counter* the plan owns for that class (items
+//! delivered, episodes closed, attempts made, pairs taken) — never wall
+//! clock, and never the caller's own replayable counters. Each
+//! [`tick_by`](FaultPlan::tick_by) advances the class's counter and fires
+//! when it crosses a not-yet-consumed threshold; every threshold fires
+//! exactly once, even when recovery replays past the same point again, so
+//! an injected crash cannot re-trigger itself into a crash loop. With
+//! steps of one, a threshold list reads as the 1-based ordinals of the
+//! ticks that fire.
+//!
+//! Everything here lives in the library (not `#[cfg(test)]`) so
+//! integration tests and downstream crates can reuse it. Production code
+//! holds only the inert [`FaultPlan::none`].
 
 use std::io::{self, Read, Write};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::time::Duration;
 
 use crate::rng::Xoshiro256pp;
 
@@ -269,8 +285,7 @@ impl<R: Read> Read for SlowReader<R> {
     }
 }
 
-/// One scripted fault applied to a snapshot read, consumed from a
-/// [`FaultSchedule`].
+/// One scripted fault applied to a snapshot read.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SnapshotFault {
     /// Read cleanly.
@@ -320,18 +335,6 @@ impl SnapshotFault {
             }
         }
     }
-
-    /// Whether a loader fed through this fault is expected to fail (or at
-    /// least to reject the payload). `Slow` is the exception: it must
-    /// succeed, just late.
-    pub fn expect_load_failure(self) -> bool {
-        matches!(
-            self,
-            SnapshotFault::Flaky { .. }
-                | SnapshotFault::Corrupt { .. }
-                | SnapshotFault::Truncate { .. }
-        )
-    }
 }
 
 /// The concrete reader for one [`SnapshotFault`] (a closed enum instead of
@@ -362,55 +365,111 @@ impl<R: Read> Read for FaultReader<R> {
     }
 }
 
-/// A scripted sequence of snapshot faults, consumed one per load attempt.
-///
-/// The chaos harness builds one schedule up front, then every snapshot
-/// (re)load takes the next step; once the script is exhausted every further
-/// load is [`SnapshotFault::Clean`]. Thread-safe: steps are handed out by
-/// an atomic cursor, so concurrent loaders each get a distinct step.
-#[derive(Debug)]
-pub struct FaultSchedule {
-    steps: Vec<SnapshotFault>,
-    cursor: std::sync::atomic::AtomicUsize,
+/// One class of injectable fault, named after the tick that fires it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Fault {
+    /// Panic the pipeline's tailer before it sends a batch; ticked by the
+    /// batch's item count.
+    TailerPanic,
+    /// Panic the pipeline's trainer at an episode close, before the model
+    /// mutates.
+    TrainerPanic,
+    /// Fail a publish attempt.
+    PublishAttempt,
+    /// Panic the publisher after a snapshot has settled.
+    PublisherPanic,
+    /// Truncate the journal slot just written (a torn write the next
+    /// recovery must survive via the other slot).
+    JournalTruncate,
+    /// Fail a journal write attempt ENOSPC-style: the write accepts a
+    /// few bytes then errors and the slot is left untouched.
+    JournalWrite,
+    /// Fail a log-compaction rewrite mid-write (the live log and its
+    /// archive stay consistent; the next journal boundary retries).
+    Compaction,
+    /// Fail a snapshot-export write attempt mid-stream.
+    SnapshotWrite,
+    /// Fail an archive segment-seal write attempt mid-stream (the store
+    /// is unchanged).
+    ArchiveSeal,
+    /// Fail an archive-expiry manifest write attempt (the old boundary
+    /// and every segment survive).
+    ArchiveExpiry,
+    /// Poison a snapshot the publisher received: the parameter bits are
+    /// mangled *and the checksum recomputed*, so only a semantic quality
+    /// gate — not an integrity check — can catch it.
+    PoisonSnapshot,
+    /// Panic a batch-training worker as it takes a pair; ticked once per
+    /// pair across every shard and epoch.
+    PairPanic,
 }
 
-impl FaultSchedule {
-    /// A schedule that plays `steps` in order, then stays clean.
-    pub fn new(steps: Vec<SnapshotFault>) -> Self {
-        Self {
-            steps,
-            cursor: std::sync::atomic::AtomicUsize::new(0),
+const FAULT_CLASSES: usize = Fault::PairPanic as usize + 1;
+
+/// A scripted schedule of injected faults (see the module docs).
+/// [`FaultPlan::none`] is inert and is what production construction uses.
+#[derive(Debug, Default)]
+pub struct FaultPlan {
+    /// Ascending thresholds per fault class.
+    at: [Vec<u64>; FAULT_CLASSES],
+    /// Cumulative tick count per class.
+    ticks: [AtomicU64; FAULT_CLASSES],
+    /// Thresholds consumed per class.
+    fired: [AtomicUsize; FAULT_CLASSES],
+    publish_delay: Option<Duration>,
+}
+
+impl FaultPlan {
+    /// An inert plan (no faults).
+    pub fn none() -> Self {
+        Self::default()
+    }
+
+    /// Schedules `fault` at the given thresholds (1-based; sorted here),
+    /// replacing any earlier schedule for that class.
+    pub fn with(mut self, fault: Fault, at: impl IntoIterator<Item = u64>) -> Self {
+        let mut at: Vec<u64> = at.into_iter().collect();
+        at.sort_unstable();
+        self.at[fault as usize] = at;
+        self
+    }
+
+    /// Injects a fixed delay into every publish (a slow registry).
+    pub fn with_publish_delay(mut self, delay: Duration) -> Self {
+        self.publish_delay = Some(delay);
+        self
+    }
+
+    /// The injected per-publish delay, if any.
+    pub fn publish_delay(&self) -> Option<Duration> {
+        self.publish_delay
+    }
+
+    /// One more `fault` event happened; true = inject the fault now.
+    pub fn tick(&self, fault: Fault) -> bool {
+        self.tick_by(fault, 1)
+    }
+
+    /// `n` more `fault` events happened; true when the counter crossed
+    /// at least one threshold not yet consumed (each fires once).
+    pub fn tick_by(&self, fault: Fault, n: u64) -> bool {
+        let (at, fired) = (&self.at[fault as usize], &self.fired[fault as usize]);
+        let now = self.ticks[fault as usize].fetch_add(n, Ordering::SeqCst) + n;
+        let mut crossed = false;
+        loop {
+            let i = fired.load(Ordering::SeqCst);
+            match at.get(i) {
+                Some(&t) if t <= now => {
+                    if fired
+                        .compare_exchange(i, i + 1, Ordering::SeqCst, Ordering::SeqCst)
+                        .is_ok()
+                    {
+                        crossed = true;
+                    }
+                }
+                _ => return crossed,
+            }
         }
-    }
-
-    /// Takes the next scripted fault (clean once exhausted).
-    pub fn next_fault(&self) -> SnapshotFault {
-        let i = self
-            .cursor
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        self.steps.get(i).copied().unwrap_or(SnapshotFault::Clean)
-    }
-
-    /// How many steps have been consumed so far.
-    pub fn consumed(&self) -> usize {
-        self.cursor
-            .load(std::sync::atomic::Ordering::Relaxed)
-            .min(self.steps.len())
-    }
-
-    /// Total scripted steps.
-    pub fn len(&self) -> usize {
-        self.steps.len()
-    }
-
-    /// Whether the script is empty.
-    pub fn is_empty(&self) -> bool {
-        self.steps.is_empty()
-    }
-
-    /// The scripted steps.
-    pub fn steps(&self) -> &[SnapshotFault] {
-        &self.steps
     }
 }
 
@@ -581,22 +640,6 @@ mod tests {
     }
 
     #[test]
-    fn fault_schedule_plays_in_order_then_stays_clean() {
-        let sched = FaultSchedule::new(vec![
-            SnapshotFault::Corrupt { period: 7 },
-            SnapshotFault::Clean,
-            SnapshotFault::Flaky { fail_after: 2 },
-        ]);
-        assert_eq!(sched.len(), 3);
-        assert_eq!(sched.next_fault(), SnapshotFault::Corrupt { period: 7 });
-        assert_eq!(sched.next_fault(), SnapshotFault::Clean);
-        assert_eq!(sched.next_fault(), SnapshotFault::Flaky { fail_after: 2 });
-        assert_eq!(sched.next_fault(), SnapshotFault::Clean);
-        assert_eq!(sched.next_fault(), SnapshotFault::Clean);
-        assert_eq!(sched.consumed(), 3);
-    }
-
-    #[test]
     fn snapshot_fault_wrap_dispatches() {
         let data = b"0 1\n1 0\n";
         let mut clean = Vec::new();
@@ -605,8 +648,6 @@ mod tests {
             .read_to_end(&mut clean)
             .unwrap();
         assert_eq!(clean, data);
-        assert!(!SnapshotFault::Clean.expect_load_failure());
-        assert!(!SnapshotFault::Slow { delay_ms: 1, chunk: 8 }.expect_load_failure());
 
         let mut rotted = Vec::new();
         SnapshotFault::Corrupt { period: 3 }
@@ -614,7 +655,6 @@ mod tests {
             .read_to_end(&mut rotted)
             .unwrap();
         assert_ne!(rotted, data);
-        assert!(SnapshotFault::Corrupt { period: 3 }.expect_load_failure());
 
         let mut short = Vec::new();
         SnapshotFault::Truncate { limit: 4 }
@@ -628,6 +668,30 @@ mod tests {
             .wrap(&data[..])
             .read_to_end(&mut sink)
             .is_err());
+    }
+
+    #[test]
+    fn thresholds_fire_exactly_once_each() {
+        let plan = FaultPlan::none().with(Fault::TailerPanic, [12, 5]);
+        let mut fires = 0;
+        for _ in 0..10 {
+            if plan.tick_by(Fault::TailerPanic, 2) {
+                fires += 1;
+            }
+        }
+        assert_eq!(fires, 2, "each threshold fires exactly once");
+        assert!(!plan.tick_by(Fault::TailerPanic, 100));
+    }
+
+    #[test]
+    fn publish_attempts_fail_by_ordinal() {
+        let plan = FaultPlan::none().with(Fault::PublishAttempt, [1, 3]);
+        assert!(plan.tick(Fault::PublishAttempt));
+        assert!(!plan.tick(Fault::PublishAttempt));
+        assert!(plan.tick(Fault::PublishAttempt));
+        assert!(!plan.tick(Fault::PublishAttempt));
+        // Classes count independently.
+        assert!(!plan.tick(Fault::JournalWrite));
     }
 
     #[test]

@@ -1,20 +1,21 @@
-//! Minimal JSON support shared by the workspace's hand-rolled JSON
-//! writers and the network front-end's request parser.
+//! The workspace's one JSON string escaper and one JSON parser.
 //!
 //! Several subsystems emit JSON without a serialization dependency: the
-//! ingest quarantine report (`inf2vec-ingest`), the serving layer's chaos
-//! reconciliation report (`inf2vec-serve`), and assorted bench artifacts.
-//! They all need exactly one hard part — correct string escaping — so it
-//! lives here once instead of being re-rolled (and re-bugged) per crate.
-//! (`inf2vec-obs` keeps a private copy by design: that crate is
-//! deliberately zero-dependency so it can be lifted out wholesale.)
+//! telemetry events and health reports (`inf2vec-obs`), the ingest
+//! quarantine report (`inf2vec-ingest`), the serving layer's responses
+//! and chaos reconciliation report (`inf2vec-serve`), and assorted bench
+//! artifacts. They all need exactly one hard part — correct string
+//! escaping — so it lives here once instead of being re-rolled (and
+//! re-bugged) per crate.
 //!
-//! The reading side ([`Json::parse`]) exists for the serving front-end,
-//! which accepts request bodies from the network: it must turn *any*
-//! byte sequence into either a value or a typed [`JsonError`], never a
-//! panic, with recursion depth bounded so a `[[[[…` bomb cannot blow the
-//! stack. Numbers are carried as `f64` (ids in this workspace are `u32`,
-//! far inside the 2^53 exact-integer range).
+//! The reading side ([`Json::parse`]) serves the network front-end,
+//! which accepts request bodies from the network, and the telemetry event
+//! reader: it must turn *any* byte sequence into either a value or a
+//! typed [`JsonError`], never a panic, with recursion depth bounded so a
+//! `[[[[…` bomb cannot blow the stack. An integer literal (no fraction,
+//! no exponent) that fits 64 bits stays exact and distinct from a float
+//! literal: `7` is [`Json::U64`], `-7` is [`Json::I64`], and `7.0` is
+//! [`Json::F64`].
 
 use std::fmt::Write as _;
 
@@ -69,8 +70,13 @@ pub enum Json {
     Null,
     /// `true` / `false`.
     Bool(bool),
-    /// Any number; integers are exact up to 2^53.
-    Num(f64),
+    /// A non-negative integer literal that fits a `u64`.
+    U64(u64),
+    /// A negative integer literal that fits an `i64`.
+    I64(i64),
+    /// Any other number: a fraction or an exponent, `-0`, or an integer
+    /// beyond 64 bits.
+    F64(f64),
     /// A string (escapes already decoded).
     Str(String),
     /// An array.
@@ -126,16 +132,20 @@ impl Json {
     /// The value as an `f64`, if it is a number.
     pub fn as_f64(&self) -> Option<f64> {
         match self {
-            Json::Num(x) => Some(*x),
+            Json::U64(v) => Some(*v as f64),
+            Json::I64(v) => Some(*v as f64),
+            Json::F64(x) => Some(*x),
             _ => None,
         }
     }
 
-    /// The value as a `u64`, if it is a non-negative number with no
-    /// fractional part (within the `f64`-exact range).
+    /// The value as a `u64`, if it is a non-negative integer: any
+    /// [`Json::U64`], or a float with no fractional part within the
+    /// `f64`-exact range.
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            Json::Num(x) if *x >= 0.0 && x.fract() == 0.0 && *x <= 9e15 => Some(*x as u64),
+            Json::U64(v) => Some(*v),
+            Json::F64(x) if *x >= 0.0 && x.fract() == 0.0 && *x <= 9e15 => Some(*x as u64),
             _ => None,
         }
     }
@@ -356,15 +366,32 @@ impl Parser<'_> {
 
     fn number(&mut self) -> Result<Json, JsonError> {
         let start = self.pos;
-        if self.peek() == Some(b'-') {
+        let negative = self.peek() == Some(b'-');
+        if negative {
             self.pos += 1;
         }
         let digits_from = self.pos;
-        while matches!(self.peek(), Some(b'0'..=b'9')) {
+        // The integer part accumulates while it is scanned, so an integer
+        // literal is never parsed a second time (`None` past 64 bits).
+        let mut int = Some(0u64);
+        while let Some(d @ b'0'..=b'9') = self.peek() {
+            int = int.and_then(|v| v.checked_mul(10)?.checked_add(u64::from(d - b'0')));
             self.pos += 1;
         }
         if self.pos == digits_from {
             return Err(self.err("expected digits"));
+        }
+        if !matches!(self.peek(), Some(b'.' | b'e' | b'E')) {
+            match (negative, int) {
+                (false, Some(v)) => return Ok(Json::U64(v)),
+                (true, Some(v)) if v > 0 => {
+                    if let Ok(v) = i64::try_from(-i128::from(v)) {
+                        return Ok(Json::I64(v));
+                    }
+                }
+                // `-0` is the float -0.0; wider integers read as floats.
+                _ => {}
+            }
         }
         if self.peek() == Some(b'.') {
             self.pos += 1;
@@ -397,7 +424,7 @@ impl Parser<'_> {
         if !x.is_finite() {
             return Err(self.err("number overflows f64"));
         }
-        Ok(Json::Num(x))
+        Ok(Json::F64(x))
     }
 }
 
@@ -440,9 +467,35 @@ mod tests {
         assert_eq!(Json::parse("null").unwrap(), Json::Null);
         assert_eq!(Json::parse(" true ").unwrap(), Json::Bool(true));
         assert_eq!(Json::parse("false").unwrap(), Json::Bool(false));
-        assert_eq!(Json::parse("42").unwrap(), Json::Num(42.0));
-        assert_eq!(Json::parse("-1.5e2").unwrap(), Json::Num(-150.0));
+        assert_eq!(Json::parse("42").unwrap(), Json::U64(42));
+        assert_eq!(Json::parse("-1.5e2").unwrap(), Json::F64(-150.0));
         assert_eq!(Json::parse("\"hi\"").unwrap(), Json::Str("hi".into()));
+    }
+
+    #[test]
+    fn integer_literals_stay_exact_and_distinct_from_floats() {
+        let parse = |text: &str| Json::parse(text).unwrap();
+        assert_eq!(parse("18446744073709551615"), Json::U64(u64::MAX));
+        assert_eq!(parse("-9223372036854775808"), Json::I64(i64::MIN));
+        assert_eq!(parse("2.0"), Json::F64(2.0));
+        assert_eq!(parse("2e0"), Json::F64(2.0));
+        // Past 64 bits an integer reads as the nearest float.
+        assert_eq!(
+            parse("18446744073709551616"),
+            Json::F64(18446744073709551616.0)
+        );
+        assert_eq!(
+            parse("-9223372036854775809"),
+            Json::F64(-9223372036854775809.0)
+        );
+        // `-0` keeps its sign as a float.
+        assert_eq!(
+            parse("-0").as_f64().map(f64::to_bits),
+            Some((-0.0f64).to_bits())
+        );
+        assert_eq!(parse("-0").as_u64(), Some(0));
+        assert_eq!(parse("-7").as_f64(), Some(-7.0));
+        assert_eq!(parse("-7").as_u64(), None);
     }
 
     #[test]

@@ -26,13 +26,17 @@
 //!   and friends) that fallible APIs return instead of panicking.
 //! - [`fsio`]: crash-safe file persistence (atomic write-temp + fsync +
 //!   rename) used by model/store/checkpoint writers.
+//! - [`clock`]: time as a capability (system and manual clocks) and the
+//!   one bounded [`retry`] loop with capped exponential backoff.
 //! - [`faultinject`]: fault-injection writers and readers (truncation,
-//!   corruption, slowness, forced I/O errors) plus scripted fault schedules
-//!   for robustness tests; not used on production paths.
-//! - [`json`]: the shared JSON string-escaping helper behind every
-//!   hand-rolled JSON writer in the workspace (ingest reports, serve chaos
-//!   reports), plus the recursive-descent [`json::Json`] parser the HTTP
-//!   front-end and event tooling read request bodies with.
+//!   corruption, slowness, forced I/O errors) and the one deterministic
+//!   fault schedule ([`faultinject::FaultPlan`]) for robustness tests;
+//!   production code holds only its inert `FaultPlan::none()`.
+//! - [`json`]: the workspace's one JSON string escaper, behind every
+//!   hand-rolled JSON writer (telemetry events, health and ingest
+//!   reports, serve responses), and the recursive-descent [`json::Json`]
+//!   parser the HTTP front-end reads request bodies with and telemetry
+//!   events are read back with; integer literals stay exact.
 
 pub mod alias;
 pub mod ascii;
@@ -49,7 +53,7 @@ pub mod table;
 pub mod topk;
 
 pub use alias::AliasTable;
-pub use clock::{system_clock, Clock, ManualClock, SharedClock, SystemClock};
+pub use clock::{retry, system_clock, Clock, ManualClock, SharedClock, SystemClock};
 pub use error::{
     ConfigError, DataError, DefectKind, Inf2vecError, IngestError, PipelineError, ServeError,
     TrainError,

@@ -41,7 +41,7 @@
 //! | [`eval`] | `inf2vec-eval` | activation/diffusion prediction tasks, AUC/MAP/P@N, aggregators |
 //! | [`serve`] | `inf2vec-serve` | resilient scoring service: versioned hot-swap registry, bounded admission, deadlines, circuit breaker, degraded fallback, chaos harness |
 //! | [`pipeline`] | `inf2vec-pipeline` | crash-recoverable continuous learning: journaled log tailing, online SGNS, retried live publish, fault-injection soak |
-//! | [`obs`] | `inf2vec-obs` | zero-dependency telemetry: metrics registry, spans, JSONL events, Prometheus exposition |
+//! | [`obs`] | `inf2vec-obs` | std-only telemetry (no external crates): metrics registry, spans, JSONL events, Prometheus exposition |
 //! | [`tsne`] | `inf2vec-tsne` | exact t-SNE + PCA for embedding visualization |
 //! | [`util`] | `inf2vec-util` | hashing, deterministic RNG, alias sampling, stats, text tables/plots |
 //!
