@@ -118,19 +118,6 @@ impl IcEm {
         }
     }
 
-    /// One full EM iteration's worth of work, for the Figure 9 efficiency
-    /// bench (constructs the trial structure once and runs one E+M pass).
-    pub fn one_iteration_cost(graph: &DiGraph, episodes: &[&Episode]) -> Self {
-        Self::train(
-            graph,
-            episodes,
-            &IcEmConfig {
-                iterations: 1,
-                init_prob: 0.1,
-            },
-        )
-    }
-
     /// The learned probability at a flat edge slot.
     pub fn prob_at(&self, slot: usize) -> f32 {
         self.probs[slot]

@@ -70,12 +70,6 @@ impl Inf2vecConfig {
         self
     }
 
-    /// Sets the seed, chainable.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
     /// Number of local (walk) context nodes: `round(L · α)`.
     pub fn local_len(&self) -> usize {
         (self.l as f64 * self.alpha).round() as usize

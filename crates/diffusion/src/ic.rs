@@ -66,12 +66,6 @@ impl EdgeProbs {
         self.probs[i]
     }
 
-    /// Mutable access to flat slot `i` (used by learners' M-steps).
-    #[inline]
-    pub fn at_mut(&mut self, i: usize) -> &mut f32 {
-        &mut self.probs[i]
-    }
-
     /// The raw flat probability array.
     pub fn as_slice(&self) -> &[f32] {
         &self.probs

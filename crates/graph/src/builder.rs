@@ -53,11 +53,6 @@ impl GraphBuilder {
         self.n
     }
 
-    /// Number of edges added so far (before dedup).
-    pub fn raw_edge_count(&self) -> usize {
-        self.edges.len()
-    }
-
     /// Freezes into a CSR [`DiGraph`], deduplicating edges and dropping
     /// self-loops.
     pub fn build(mut self) -> DiGraph {

@@ -49,7 +49,7 @@ use std::time::Duration;
 use inf2vec_util::faultinject::FailingWriter;
 use inf2vec_util::{atomic_write, fnv1a};
 
-use crate::tail::{read_header, render_sentinel, LiveLog, TailPosition};
+use crate::tail::{parse_header, render_sentinel, LiveLog, TailPosition};
 
 /// Archive segment/manifest schema version (bump on incompatible change).
 pub const ARCHIVE_SCHEMA_VERSION: u32 = 1;
@@ -106,12 +106,22 @@ impl SegmentMeta {
         segment_file_name(self.seq)
     }
 
-    fn render_header(&self) -> String {
-        let prefix = format!(
+    /// The header line up to its own checksum, which covers these bytes.
+    fn header_prefix(&self) -> String {
+        format!(
             "{SEG_MAGIC} seq {} base {} line {} count {} len {} sum {:016x} t {}",
-            self.seq, self.base_offset, self.base_line, self.lines, self.len, self.sum,
+            self.seq,
+            self.base_offset,
+            self.base_line,
+            self.lines,
+            self.len,
+            self.sum,
             self.sealed_at_ms,
-        );
+        )
+    }
+
+    fn render_header(&self) -> String {
+        let prefix = self.header_prefix();
         format!("{prefix} h {:016x}\n", fnv1a(prefix.as_bytes()))
     }
 
@@ -142,11 +152,7 @@ impl SegmentMeta {
             sealed_at_ms,
             header_len: line.len() as u64 + 1,
         };
-        let prefix = format!(
-            "{SEG_MAGIC} seq {} base {} line {} count {} len {} sum {:016x} t {}",
-            seq, base_offset, base_line, lines, len, sum, sealed_at_ms,
-        );
-        (fnv1a(prefix.as_bytes()) == declared).then_some(meta)
+        (fnv1a(meta.header_prefix().as_bytes()) == declared).then_some(meta)
     }
 }
 
@@ -299,11 +305,6 @@ impl ArchiveStore {
     /// The directory this store lives in.
     pub fn dir(&self) -> &Path {
         &self.dir
-    }
-
-    /// The manifest file path (CI uploads this as an artifact).
-    pub fn manifest_path(&self) -> PathBuf {
-        self.dir.join(MANIFEST_FILE)
     }
 
     /// The expired-prefix boundary.
@@ -533,10 +534,10 @@ impl ArchiveStore {
     /// past the boundary sees identical bytes.
     pub fn restore_to(&self, log_path: &Path, out: &Path) -> io::Result<RestoreStats> {
         let live = fs::read(log_path)?;
-        let live_header = {
-            let mut f = fs::File::open(log_path)?;
-            read_header(&mut f)?
-        };
+        // The sentinel comes from the same read as the payload: a
+        // compaction's rename between two reads would pair one file's
+        // sentinel with another file's bytes.
+        let live_header = parse_header(&live);
         // Overlap (live base below the archive end) is legal: a crash
         // between a seal and the live rewrite leaves the sealed bytes in
         // both places, and the duplicate live prefix is skipped. A hole

@@ -110,7 +110,7 @@ pub(crate) fn read_header(file: &mut fs::File) -> io::Result<LogHeader> {
 
 /// Parses the (optional) sentinel header at the start of `bytes`; only
 /// the first [`SENTINEL_PROBE`] bytes are looked at.
-fn parse_header(bytes: &[u8]) -> LogHeader {
+pub(crate) fn parse_header(bytes: &[u8]) -> LogHeader {
     let head = &bytes[..bytes.len().min(SENTINEL_PROBE)];
     if !head.starts_with(SENTINEL_MAGIC.as_bytes()) {
         return LogHeader::default();
@@ -342,11 +342,6 @@ impl LogTail {
     /// The position the next poll starts from (persist this to resume).
     pub fn position(&self) -> TailPosition {
         self.pos
-    }
-
-    /// The log file being tailed.
-    pub fn path(&self) -> &Path {
-        &self.path
     }
 
     /// Reads up to `max` newly completed lines, classifying each. Returns

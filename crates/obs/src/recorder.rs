@@ -167,11 +167,6 @@ impl JsonlSink {
         Ok(Self::to_writer(File::create(path)?))
     }
 
-    /// Like [`create`](Self::create) with an explicit clock.
-    pub fn create_with_clock(path: impl AsRef<Path>, clock: SharedClock) -> io::Result<Self> {
-        Ok(Self::to_writer_with_clock(File::create(path)?, clock))
-    }
-
     /// How many writes failed so far.
     pub fn error_count(&self) -> u64 {
         self.errors.load(std::sync::atomic::Ordering::Relaxed)

@@ -10,8 +10,8 @@ use inf2vec_obs::Telemetry;
 ///
 /// The determinism-relevant knobs are `close_after`, `online`, `inf2vec`,
 /// and `seed`: together with the action-log bytes they fully determine the
-/// final model state. The remaining knobs (batching, channel capacity,
-/// publish cadence, backoff) shape *where* work happens, never *what* the
+/// final model state. The remaining knobs (batching, journal and publish
+/// cadence, backoff) shape *where* work happens, never *what* the
 /// result is — a crash and journal replay under any of them reconverges
 /// bit-identically.
 #[derive(Debug, Clone)]
@@ -22,14 +22,6 @@ pub struct PipelineConfig {
     pub close_after: u64,
     /// Max records consumed per tail poll.
     pub batch_max: usize,
-    /// Bounded tail→train channel capacity (backpressure: a slow trainer
-    /// blocks the tailer instead of growing a queue).
-    pub channel_capacity: usize,
-    /// Consecutive empty tail polls that count as "caught up" for
-    /// [`Pipeline::run_until_idle`](crate::Pipeline::run_until_idle).
-    pub idle_polls: u32,
-    /// Tailer sleep between empty polls.
-    pub poll_interval: Duration,
     /// Commit the progress journal every N applied batches (1 = always).
     /// A commit snapshots the trainer and a writer thread writes the slot
     /// while training goes on; the next commit first waits for it, so at
@@ -106,9 +98,6 @@ impl Default for PipelineConfig {
         Self {
             close_after: 64,
             batch_max: 256,
-            channel_capacity: 4,
-            idle_polls: 2,
-            poll_interval: Duration::from_millis(1),
             journal_every_batches: 1,
             publish_every_episodes: 8,
             publish_max_attempts: 4,

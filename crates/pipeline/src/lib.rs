@@ -9,23 +9,25 @@
 //! wires the existing subsystems into that runtime:
 //!
 //! ```text
-//!  action log ──tail──▶ [tailer] ──bounded chan──▶ [trainer] ──try_send──▶ [publisher]
-//!  (append-only)         ingest     backpressure    assemble episodes       retry+backoff
-//!                                                   online SGNS             install_checked
-//!                                                   journal commit          into ModelRegistry
-//!                                                        │ ≤ 1 in flight
-//!                                                        ▼
-//!                                                   [journal writer] ──▶ WAL slots
+//!  action log ──poll──▶ [trainer] ──try_send──▶ [publisher]
+//!  (append-only)         tail + parse            retry+backoff
+//!                        assemble episodes       install_checked
+//!                        online SGNS             into ModelRegistry
+//!                        journal commit
+//!                             │ ≤ 1 in flight
+//!                             ▼
+//!                        [journal writer] ──▶ WAL slots
 //! ```
 //!
 //! - [`journal`]: double-slot checksummed write-ahead journal; a crash at
 //!   *any* point replays to a bit-identical model (the log is the source
 //!   of truth, the journal only commits how far it has been consumed).
-//! - [`runner`]: the [`Pipeline`] — stage threads, bounded channels, a
-//!   supervisor that restarts panicked stages within a restart budget,
-//!   and exactly-once episode application across crashes. Compaction of
-//!   the log and its archive belongs to the
-//!   [`LogStore`](inf2vec_ingest::LogStore) the pipeline drives.
+//! - [`runner`]: the [`Pipeline`] — a trainer loop that tails the log
+//!   itself, its journal-writer and publisher threads, a supervisor that
+//!   restarts panicked stages within a restart budget, and exactly-once
+//!   episode application across crashes. Compaction of the log and its
+//!   archive belongs to the [`LogStore`](inf2vec_ingest::LogStore) the
+//!   pipeline drives.
 //! - [`publish`]: snapshot publication into the serve registry with
 //!   capped exponential backoff; a failing or slow registry never stalls
 //!   training (snapshots are skipped, training continues against the last

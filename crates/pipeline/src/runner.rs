@@ -1,14 +1,14 @@
-//! The pipeline runtime: stage threads, supervision, exactly-once replay.
+//! The pipeline runtime: the trainer loop, its helper threads,
+//! supervision, exactly-once replay.
 //!
-//! Three stages, two bounded channels:
+//! One loop on the caller's thread, two helper threads:
 //!
-//! - **tailer** (thread): polls the action log via [`LogTail`] and sends
-//!   record batches over a bounded channel — a slow trainer applies
-//!   backpressure by blocking the tailer, never by growing a queue.
 //! - **trainer** (the caller's thread, inside
-//!   [`Pipeline::run_until_idle`]): folds records into open episodes,
-//!   closes episodes that have gone quiet, applies their pairs to the
-//!   online model, and journals progress at batch boundaries.
+//!   [`Pipeline::run_until_idle`]): polls the action log via [`LogTail`],
+//!   folds each batch's records into open episodes, closes episodes that
+//!   have gone quiet, applies their pairs to the online model, and
+//!   journals progress at batch boundaries. It returns after the first
+//!   poll that finds no new complete line.
 //! - **journal writer** (one thread per commit): writes the trainer's
 //!   snapshot into its slot while the trainer goes on training. At most
 //!   one commit is in flight; the trainer *settles* it (joins the writer,
@@ -32,19 +32,22 @@
 //!
 //! # Supervision
 //!
-//! Each stage has a restart budget. A panicked trainer is rebuilt from
-//! the journal (with a *fresh* tailer channel, so half-applied in-flight
-//! batches are discarded rather than double-applied); a dead tailer is
-//! respawned at the trainer's committed position; a dead publisher is
-//! respawned and at most the single in-flight snapshot is lost (counted
-//! as skipped). Exhausting a budget escalates to
-//! [`PipelineError::StageFailed`].
+//! Each stage has a restart budget. A panic while polling the log is
+//! caught on the trainer's thread and counted as a `tail` restart; the
+//! tail resumes at the trainer's committed position. A panicked trainer
+//! is rebuilt from the journal and the tail resumes at the rebuilt
+//! position, so the half-applied batch is re-read, never double-applied.
+//! A dead publisher is respawned and at most the single in-flight
+//! snapshot is lost (counted as skipped). Exhausting a budget escalates
+//! to [`PipelineError::StageFailed`]. A log the tail cannot read at its
+//! committed position (truncated, rotated past it, an I/O error) is
+//! counted and returned as the typed [`IngestError`].
 
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
+use std::sync::atomic::Ordering;
+use std::sync::mpsc::{sync_channel, SyncSender, TrySendError};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -65,43 +68,6 @@ use crate::publish::{
     export_snapshot, poison_snapshot, publish_with_retry, PublishCounters, PublishSink, Snapshot,
 };
 use crate::quality::{ProbeSet, QualityGate};
-
-/// What the tailer sends the trainer.
-enum TailMsg {
-    /// New terminated lines, plus the position after consuming them.
-    Batch {
-        /// Classified items in log order.
-        items: Vec<TailItem>,
-        /// The committed position once every item is applied.
-        pos_after: TailPosition,
-    },
-    /// The log had nothing new this poll.
-    Idle,
-}
-
-/// A running tailer thread plus its channel. Dropping the handle stops
-/// and joins the thread (in-flight batches are discarded — the next
-/// tailer re-reads them from the trainer's committed position).
-struct TailerHandle {
-    rx: Receiver<TailMsg>,
-    stop: Arc<AtomicBool>,
-    thread: Option<JoinHandle<()>>,
-}
-
-impl Drop for TailerHandle {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        if let Some(t) = self.thread.take() {
-            // The tailer may be blocked in a send on a full channel;
-            // drain until it observes the stop flag and exits.
-            while !t.is_finished() {
-                let _ = self.rx.try_recv();
-                std::thread::yield_now();
-            }
-            let _ = t.join();
-        }
-    }
-}
 
 /// A running publisher thread. Dropping closes the channel and joins:
 /// the publisher finishes (or abandons, per retry budget) what it holds.
@@ -437,13 +403,16 @@ pub struct Pipeline {
     sink: Arc<dyn PublishSink>,
     /// The action log and its archive.
     log: LogStore,
+    /// The log's reader. Between polls it stands at the trainer's
+    /// committed position.
+    tail: LogTail,
     /// Where the flight recorder dumps on stage panics (`flight.jsonl`
     /// beside the journal slots).
     flight_path: PathBuf,
     journal: Journal,
     trainer: Trainer,
     round: u64,
-    /// The user-id space the tailer accepts and the row space may grow
+    /// The user-id space the tail accepts and the row space may grow
     /// to: `max(graph nodes, cfg.user_capacity)`.
     universe: usize,
     /// Quality gate (`None` when `cfg.probe_pairs == 0`).
@@ -454,7 +423,6 @@ pub struct Pipeline {
     prev_commit: Option<TailPosition>,
     /// The one journal commit that may be in flight.
     in_flight: Option<InFlightCommit>,
-    tailer: Option<TailerHandle>,
     publisher: Option<PublisherHandle>,
     counters: Arc<PublishCounters>,
     snapshots_offered: u64,
@@ -552,6 +520,7 @@ impl Pipeline {
                 .u64("universe", universe as u64),
         );
         let last_publish_episode = trainer.online.episodes_applied();
+        let tail = open_tail(&log, universe, trainer.pos, &cfg.telemetry);
         Ok(Self {
             cfg,
             clock,
@@ -559,6 +528,7 @@ impl Pipeline {
             graph,
             sink,
             log,
+            tail,
             flight_path,
             journal,
             trainer,
@@ -567,7 +537,6 @@ impl Pipeline {
             gate,
             prev_commit: None,
             in_flight: None,
-            tailer: None,
             publisher: None,
             counters: Arc::new(PublishCounters::default()),
             snapshots_offered: 0,
@@ -579,8 +548,11 @@ impl Pipeline {
         })
     }
 
-    /// Consumes the log until `idle_polls` consecutive empty polls, then
-    /// journals. Supervises all stages while running. Returns with the
+    /// Polls the log and applies each batch until a poll finds no new
+    /// complete line, then journals. A partial last line stays pending;
+    /// records appended later are read by the next call. Supervises all
+    /// stages while running. A log the tail cannot read at the committed
+    /// position fails with the typed [`IngestError`]. Returns with the
     /// journal settled, on error too.
     pub fn run_until_idle(&mut self) -> Result<(), Inf2vecError> {
         if let Err(e) = self.consume_until_idle() {
@@ -592,34 +564,68 @@ impl Pipeline {
     }
 
     fn consume_until_idle(&mut self) -> Result<(), Inf2vecError> {
-        self.ensure_tailer();
         self.ensure_publisher();
-        let mut idle = 0u32;
-        while idle < self.cfg.idle_polls.max(1) {
-            let msg = self.tailer.as_ref().expect("tailer running").rx.recv();
-            match msg {
-                Ok(TailMsg::Idle) => idle += 1,
-                Ok(TailMsg::Batch { items, pos_after }) => {
-                    idle = 0;
-                    self.handle_batch(items, pos_after)?;
+        loop {
+            let (tail, faults) = (&mut self.tail, &self.faults);
+            let batch_max = self.cfg.batch_max.max(1);
+            let polled = catch_unwind(AssertUnwindSafe(|| {
+                let items = tail.poll(batch_max)?;
+                // Fires before the batch is applied: the resumed tail
+                // re-reads it.
+                if !items.is_empty() && faults.tick_by(Fault::TailerPanic, items.len() as u64) {
+                    panic!("injected tailer panic");
                 }
-                Err(_) => {
-                    // The tailer died (injected or real panic): respawn
-                    // it at the trainer's committed position.
-                    idle = 0;
-                    self.restart_tailer()?;
-                }
+                Ok(items)
+            }));
+            match polled {
+                Ok(Ok(items)) if items.is_empty() => return Ok(()),
+                Ok(Ok(items)) => self.handle_batch(items)?,
+                Ok(Err(e)) => return Err(self.tail_error(e)),
+                Err(payload) => self.restart_tail(panic_message(payload))?,
             }
         }
-        Ok(())
     }
 
-    fn handle_batch(
-        &mut self,
-        items: Vec<TailItem>,
-        pos_after: TailPosition,
-    ) -> Result<(), Inf2vecError> {
-        let trainer = &mut self.trainer;
+    /// Counts and events a poll that cannot honor the committed position
+    /// and resumes the tail there: a read that failed midway may have
+    /// counted lines past its offset.
+    fn tail_error(&mut self, e: IngestError) -> Inf2vecError {
+        // Truncation/rotation are typed, not generic I/O: the committed
+        // position is unservable and retrying cannot fix it — surface the
+        // kind so operators see *which* contract the log's producer broke.
+        let kind = match &e {
+            IngestError::LogTruncated { .. } => "truncated",
+            IngestError::LogRotated { .. } => "rotated",
+            _ => "io",
+        };
+        let telemetry = &self.cfg.telemetry;
+        telemetry.count_with(
+            "inf2vec_pipeline_tail_io_errors_total",
+            &[("kind", kind)],
+            1,
+        );
+        telemetry.emit(
+            Event::new("pipeline.tail_error")
+                .str("kind", kind)
+                .str("error", e.to_string()),
+        );
+        self.resume_tail();
+        e.into()
+    }
+
+    /// Points the tail at the trainer's committed position.
+    fn resume_tail(&mut self) {
+        self.tail = open_tail(
+            &self.log,
+            self.universe,
+            self.trainer.pos,
+            &self.cfg.telemetry,
+        );
+    }
+
+    /// Applies the batch the tail just polled.
+    fn handle_batch(&mut self, items: Vec<TailItem>) -> Result<(), Inf2vecError> {
+        let (trainer, pos_after) = (&mut self.trainer, self.tail.position());
         let (cfg, graph, faults) = (&self.cfg, &self.graph, &self.faults);
         let result = catch_unwind(AssertUnwindSafe(|| {
             trainer.apply_batch(items, pos_after, cfg, graph, faults)
@@ -637,8 +643,8 @@ impl Pipeline {
     }
 
     /// Trainer panicked mid-batch: its in-memory state is suspect, so
-    /// rebuild it from the journal and give it a fresh tailer channel
-    /// (discarding in-flight batches the journaled position will re-read).
+    /// rebuild it from the journal and resume the tail at the journaled
+    /// position, which re-reads the half-applied batch.
     fn recover_trainer(&mut self, message: String) -> Result<(), Inf2vecError> {
         // The rebuild reads the journal, and the commit in flight belongs
         // to the batches before the panic.
@@ -647,25 +653,13 @@ impl Pipeline {
         // flight file must be an event that preceded the panic site.
         self.dump_flight_postmortem("trainer_panic");
         self.trainer_restarts += 1;
-        self.cfg.telemetry.count_with(
-            "inf2vec_pipeline_stage_restarts_total",
-            &[("stage", "train")],
-            1,
-        );
         self.cfg.telemetry.emit(
             Event::new("pipeline.stage_restart")
                 .str("stage", "train")
                 .u64("restarts", self.trainer_restarts as u64)
                 .str("panic", message.clone()),
         );
-        if self.trainer_restarts > self.cfg.restart_budget {
-            return Err(PipelineError::StageFailed {
-                stage: "train",
-                restarts: self.trainer_restarts,
-                message,
-            }
-            .into());
-        }
+        self.count_restart("train", self.trainer_restarts, message)?;
         let loaded = self.journal.load_latest()?;
         let n = self.graph.node_count() as usize;
         let (trainer, round) =
@@ -674,50 +668,51 @@ impl Pipeline {
         self.round = round;
         self.batches_since_journal = 0;
         self.last_publish_episode = self.trainer.online.episodes_applied();
-        self.tailer = None; // join the old tailer, discard its channel
-        self.ensure_tailer();
+        self.resume_tail();
         Ok(())
     }
 
-    fn restart_tailer(&mut self) -> Result<(), Inf2vecError> {
+    /// A poll panicked: the tail's position is suspect, so resume it at
+    /// the trainer's committed position.
+    fn restart_tail(&mut self, message: String) -> Result<(), Inf2vecError> {
         self.dump_flight_postmortem("tailer_death");
         self.tailer_restarts += 1;
-        self.cfg.telemetry.count_with(
-            "inf2vec_pipeline_stage_restarts_total",
-            &[("stage", "tail")],
-            1,
-        );
-        if self.tailer_restarts > self.cfg.restart_budget {
-            return Err(PipelineError::StageFailed {
-                stage: "tail",
-                restarts: self.tailer_restarts,
-                message: "tailer thread died".into(),
-            }
-            .into());
-        }
-        self.tailer = None;
-        self.ensure_tailer();
+        self.count_restart("tail", self.tailer_restarts, message)?;
+        self.resume_tail();
         Ok(())
     }
 
     fn restart_publisher(&mut self) -> Result<(), Inf2vecError> {
         self.dump_flight_postmortem("publisher_death");
         self.publisher_restarts += 1;
+        let message = "publisher thread died".to_string();
+        self.count_restart("publish", self.publisher_restarts, message)?;
+        self.publisher = None;
+        self.ensure_publisher();
+        Ok(())
+    }
+
+    /// Counts the `restarts`-th restart of `stage` and escalates to
+    /// [`PipelineError::StageFailed`] once it is past the budget.
+    fn count_restart(
+        &self,
+        stage: &'static str,
+        restarts: u32,
+        message: String,
+    ) -> Result<(), Inf2vecError> {
         self.cfg.telemetry.count_with(
             "inf2vec_pipeline_stage_restarts_total",
-            &[("stage", "publish")],
+            &[("stage", stage)],
             1,
         );
-        if self.publisher_restarts > self.cfg.restart_budget {
+        if restarts > self.cfg.restart_budget {
             return Err(PipelineError::StageFailed {
-                stage: "publish",
-                restarts: self.publisher_restarts,
-                message: "publisher thread died".into(),
+                stage,
+                restarts,
+                message,
             }
             .into());
         }
-        self.publisher = None;
-        self.ensure_publisher();
         Ok(())
     }
 
@@ -876,82 +871,6 @@ impl Pipeline {
         self.settle();
     }
 
-    fn ensure_tailer(&mut self) {
-        if self.tailer.is_some() {
-            return;
-        }
-        let (tx, rx) = sync_channel(self.cfg.channel_capacity.max(1));
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop_flag = Arc::clone(&stop);
-        let path = self.log.path().to_path_buf();
-        // Accept the whole configured universe, not just the graph: ids
-        // beyond the graph are real (late-joining) users whose rows the
-        // model grows on demand.
-        let num_users = self.universe as u32;
-        let pos = self.trainer.pos;
-        let batch_max = self.cfg.batch_max.max(1);
-        let poll_interval = self.cfg.poll_interval;
-        let clock = self.clock.clone();
-        let faults = Arc::clone(&self.faults);
-        let telemetry = self.cfg.telemetry.clone();
-        let thread = std::thread::Builder::new()
-            .name("inf2vec-tail".into())
-            .spawn(move || {
-                let mut tail = LogTail::resume(path, num_users, pos).with_telemetry(telemetry.clone());
-                while !stop_flag.load(Ordering::SeqCst) {
-                    let items = match tail.poll(batch_max) {
-                        Ok(v) => v,
-                        Err(e) => {
-                            // Truncation/rotation are typed, not generic
-                            // I/O: the committed position is unservable
-                            // and retrying cannot fix it — surface the
-                            // kind so operators see *which* contract the
-                            // log's producer broke.
-                            let kind = match &e {
-                                IngestError::LogTruncated { .. } => "truncated",
-                                IngestError::LogRotated { .. } => "rotated",
-                                _ => "io",
-                            };
-                            telemetry.count_with(
-                                "inf2vec_pipeline_tail_io_errors_total",
-                                &[("kind", kind)],
-                                1,
-                            );
-                            telemetry.emit(
-                                Event::new("pipeline.tail_error")
-                                    .str("kind", kind)
-                                    .str("error", e.to_string()),
-                            );
-                            clock.sleep(poll_interval);
-                            continue;
-                        }
-                    };
-                    if items.is_empty() {
-                        if tx.send(TailMsg::Idle).is_err() {
-                            break;
-                        }
-                        clock.sleep(poll_interval);
-                        continue;
-                    }
-                    // Fires before the send: a panicked tailer never
-                    // delivered the batch, so the respawn re-reads it.
-                    if faults.tick_by(Fault::TailerPanic, items.len() as u64) {
-                        panic!("injected tailer panic");
-                    }
-                    let pos_after = tail.position();
-                    if tx.send(TailMsg::Batch { items, pos_after }).is_err() {
-                        break;
-                    }
-                }
-            })
-            .expect("spawn tailer thread");
-        self.tailer = Some(TailerHandle {
-            rx,
-            stop,
-            thread: Some(thread),
-        });
-    }
-
     fn ensure_publisher(&mut self) {
         if self.publisher.is_some() {
             return;
@@ -1037,7 +956,6 @@ impl Pipeline {
     /// pipeline *without* calling this simulates a crash: no final
     /// journal, recovery replays from the last batch-boundary commit.
     pub fn shutdown(&mut self) -> Result<(), Inf2vecError> {
-        self.tailer = None;
         self.publisher = None;
         self.write_journal();
         Ok(())
@@ -1053,7 +971,6 @@ impl Pipeline {
     pub fn crash(&mut self) {
         self.settle();
         self.dump_flight_postmortem("simulated_crash");
-        self.tailer = None;
         self.publisher = None;
     }
 
@@ -1128,15 +1045,6 @@ impl Pipeline {
     /// Episodes applied to the model so far.
     pub fn episodes_applied(&self) -> u64 {
         self.trainer.online.episodes_applied()
-    }
-
-    /// Stage restarts consumed so far: (tailer, trainer, publisher).
-    pub fn restarts(&self) -> (u32, u32, u32) {
-        (
-            self.tailer_restarts,
-            self.trainer_restarts,
-            self.publisher_restarts,
-        )
     }
 
     /// The action log and its archive, with this incarnation's
@@ -1238,6 +1146,13 @@ fn maybe_export(snap: &Snapshot, cfg: &PipelineConfig, clock: &SharedClock, faul
     }
 }
 
+/// A tail of `log` from `pos`. It accepts the whole user universe, not
+/// just the graph: ids beyond the graph are real (late-joining) users
+/// whose rows the model grows on demand.
+fn open_tail(log: &LogStore, universe: usize, pos: TailPosition, telemetry: &Telemetry) -> LogTail {
+    LogTail::resume(log.path(), universe as u32, pos).with_telemetry(telemetry.clone())
+}
+
 /// Best-effort atomic dump of the flight ring to `path` (the pipeline's
 /// [`flight.jsonl`](Pipeline::flight_path)). Never fails the pipeline: a
 /// postmortem that cannot be written is counted, not propagated.
@@ -1286,9 +1201,7 @@ mod tests {
         PipelineConfig {
             close_after: 4,
             batch_max: 8,
-            idle_polls: 2,
             publish_every_episodes: 2,
-            poll_interval: std::time::Duration::from_millis(1),
             inf2vec: inf2vec_core::Inf2vecConfig {
                 k: 4,
                 l: 6,
@@ -1752,6 +1665,94 @@ mod tests {
                 Inf2vecError::Pipeline(PipelineError::StageFailed { stage: "train", .. })
             ),
             "got {err:?}"
+        );
+    }
+
+    /// A call reads what was appended after the previous call returned,
+    /// however long the log sat idle in between.
+    #[test]
+    fn a_later_call_reads_records_appended_after_the_last_one() {
+        let dir = tmp_dir("runner-append");
+        let log = dir.join("actions.log");
+        let append = |from: u32| {
+            let mut f = std::fs::OpenOptions::new()
+                .create(true)
+                .append(true)
+                .open(&log)
+                .unwrap();
+            for i in from..from + 40 {
+                writeln!(f, "{} {} {}", i % 6, 100 + i / 8, i + 1).unwrap();
+            }
+        };
+        append(0);
+        let mut p = Pipeline::with_runtime(
+            small_cfg(),
+            &log,
+            dir.join("journal"),
+            ring_graph(6),
+            Arc::new(CountingSink::new()),
+            system_clock(),
+            Arc::new(FaultPlan::none()),
+        )
+        .unwrap();
+        p.run_until_idle().unwrap();
+        assert_eq!(p.reconciliation().records_seen, 40);
+        // Long enough for anything polling between the calls to have
+        // found the log idle before the append.
+        std::thread::sleep(Duration::from_millis(50));
+        append(40);
+        p.run_until_idle().unwrap();
+        assert_eq!(p.reconciliation().records_seen, 80);
+    }
+
+    /// A log cut below the committed position fails the next call with
+    /// the typed error, counted once, and the call returns.
+    #[test]
+    fn a_truncated_log_fails_the_next_call_typed() {
+        let dir = tmp_dir("runner-truncated");
+        let log = dir.join("actions.log");
+        write_log(&log, 4, 6);
+        let cfg = PipelineConfig {
+            telemetry: Telemetry::with_registry(),
+            ..small_cfg()
+        };
+        let telemetry = cfg.telemetry.clone();
+        let mut p = Pipeline::with_runtime(
+            cfg,
+            &log,
+            dir.join("journal"),
+            ring_graph(6),
+            Arc::new(CountingSink::new()),
+            system_clock(),
+            Arc::new(FaultPlan::none()),
+        )
+        .unwrap();
+        p.run_until_idle().unwrap();
+        let bytes = std::fs::read(&log).unwrap();
+        std::fs::write(&log, &bytes[..bytes.len() / 2]).unwrap();
+        // On a helper thread, so a call that never returns fails the test
+        // instead of hanging it.
+        let (tx, rx) = std::sync::mpsc::channel();
+        let caller = std::thread::spawn(move || {
+            let result = p.run_until_idle();
+            tx.send((result, p)).ok();
+        });
+        let (result, _p) = rx
+            .recv_timeout(Duration::from_secs(5))
+            .expect("run_until_idle returns on a truncated log");
+        caller.join().unwrap();
+        assert!(
+            matches!(
+                result,
+                Err(Inf2vecError::Ingest(IngestError::LogTruncated { .. }))
+            ),
+            "got {result:?}"
+        );
+        let labels = [("kind", "truncated")];
+        let metrics = telemetry.snapshot();
+        assert_eq!(
+            metrics.counter_value("inf2vec_pipeline_tail_io_errors_total", &labels),
+            1
         );
     }
 }

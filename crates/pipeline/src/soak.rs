@@ -861,9 +861,10 @@ mod tests {
             "every applied record needs a complete trace chain: {}",
             report.to_json()
         );
+        let (tail, train, publish) = report.restarts;
         assert!(
-            report.restarts.0 + report.restarts.1 + report.restarts.2 >= 3,
-            "the fault schedule must actually fire: {}",
+            tail >= 1 && train >= 1 && publish >= 1,
+            "every restart class must actually fire: {}",
             report.to_json()
         );
         assert!(report.publishes.1 >= 1, "a publish retry chain must exhaust");

@@ -39,9 +39,7 @@ fn small_cfg(telemetry: Telemetry) -> PipelineConfig {
     PipelineConfig {
         close_after: 4,
         batch_max: 8,
-        idle_polls: 2,
         publish_every_episodes: 2,
-        poll_interval: std::time::Duration::from_millis(1),
         telemetry,
         inf2vec: inf2vec_core::Inf2vecConfig {
             k: 4,
